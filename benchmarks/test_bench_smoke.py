@@ -31,7 +31,7 @@ from repro.core.config import VS2Config
 from repro.core.pipeline import VS2Pipeline
 from repro.harness import ExperimentContext, timing_table
 from repro.instrument import PipelineMetrics
-from repro.perf.cache import TranscriptionCache
+from repro.ocr.cache import TranscriptionCache
 from repro.perf.snapshot import write_snapshot
 from repro.synth import generate_corpus
 from repro.trace import Tracer, ledger_diff, ledger_lines, validate_chrome_trace, write_chrome_trace

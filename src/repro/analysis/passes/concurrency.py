@@ -15,7 +15,7 @@ module-scope rule can phrase:
 * **CONC102** — values a picklability analysis knows to be unpicklable
   (lambdas, nested functions, open handles, locks, generators) must
   not flow into process-boundary calls (``submit``, ``Process(…)``,
-  ``conn.send``) in the two multiprocessing layers.  These crash at
+  ``conn.send``) in the multiprocessing layer.  These crash at
   dispatch time with an opaque ``PicklingError`` — or worse, only
   under the spawn start method in CI.
 * **CONC103** — ``fork()`` after a thread has started is undefined
@@ -44,14 +44,13 @@ from repro.analysis.passes.flowbase import (
 )
 
 #: Worker-side entry functions: everything they (transitively) call
-#: executes inside a forked child.
+#: executes inside a forked child.  The pool has exactly one.
 WORKER_ENTRIES = {
-    "repro.perf.runner": ("_init_worker", "_run_one", "_run_chunk"),
-    "repro.resilience.supervisor": ("_supervised_worker_main",),
+    "repro.perf.runner": ("_worker_main",),
 }
 
 #: Modules whose process-boundary calls CONC102 audits.
-BOUNDARY_MODULES = ("repro.perf.runner", "repro.resilience.supervisor")
+BOUNDARY_MODULES = ("repro.perf.runner",)
 
 
 def _worker_roots(index: ProjectIndex) -> List[str]:
@@ -71,9 +70,8 @@ class ConcurrencyPass(Pass):
             summary="no module-state write reachable from a worker entry",
             doc=(
                 "Walks the sharpened call graph forward from the worker entry "
-                "functions (_init_worker/_run_one/_run_chunk and "
-                "_supervised_worker_main) and reports any reachable write to "
-                "module-level state — global assignment, attribute/subscript "
+                "function (the pool's _worker_main) and reports any reachable "
+                "write to module-level state — global assignment, attribute/subscript "
                 "store, or mutating method call, including through local "
                 "aliases the forward dataflow analysis tracks.  A forked "
                 "worker mutates its own copy: the parent never observes the "
@@ -82,7 +80,7 @@ class ConcurrencyPass(Pass):
             ),
             example=(
                 "_SEEN = {}\n"
-                "def _run_one(doc):\n"
+                "def _worker_main(doc):\n"
                 "    cache = _SEEN            # alias of module state\n"
                 "    cache[doc.id] = doc      # <- CONC101, write in a worker"
             ),
@@ -100,7 +98,7 @@ class ConcurrencyPass(Pass):
                 "a fork/pickle boundary — lambdas, nested functions, open "
                 "file handles, thread locks, generators — and reports when "
                 "one flows into submit()/Process()/send()/put()-style calls "
-                "in the multiprocessing layers.  These fail at dispatch time "
+                "in the multiprocessing layer.  These fail at dispatch time "
                 "with an opaque PicklingError, or only under the spawn start "
                 "method."
             ),

@@ -42,7 +42,7 @@ Usage
 
 Instrumentation (:mod:`repro.perf`) is always on: every run records
 per-stage wall-time into :attr:`VS2Pipeline.metrics`, and an optional
-:class:`~repro.perf.cache.TranscriptionCache` memoises the clean step.
+:class:`~repro.ocr.cache.TranscriptionCache` memoises the clean step.
 For whole corpora, prefer :meth:`VS2Pipeline.run_corpus` (or
 :class:`repro.perf.runner.CorpusRunner` directly) which adds process
 parallelism and per-document error isolation.
@@ -146,9 +146,9 @@ class PipelineResult:
 class VS2Pipeline:
     """clean → OCR → VS2-Segment → VS2-Select, wired per dataset.
 
-    ``metrics`` (a shared :class:`~repro.perf.metrics.PipelineMetrics`)
+    ``metrics`` (a shared :class:`~repro.instrument.PipelineMetrics`)
     accumulates per-stage timings across every :meth:`run`; ``cache``
-    (a :class:`~repro.perf.cache.TranscriptionCache`) memoises the
+    (a :class:`~repro.ocr.cache.TranscriptionCache`) memoises the
     clean step so repeated runs over the same corpus — benchmarks,
     table regenerations — transcribe each document once.
     """

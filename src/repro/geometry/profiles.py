@@ -49,8 +49,7 @@ path was taken.  See ``docs/PERFORMANCE.md`` for the worked example
 and the full design.
 
 This module lives in ``repro.geometry`` (the base layer, so
-``repro.core`` may import it); :mod:`repro.perf.profiles` re-exports
-it as the perf-layer face, mirroring ``repro.perf.metrics``.
+``repro.core`` may import it); :mod:`repro.perf` re-exports it.
 """
 
 from __future__ import annotations

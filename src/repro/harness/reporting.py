@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.perf.metrics import PipelineMetrics
+    from repro.instrument import PipelineMetrics
 
 
 @dataclass

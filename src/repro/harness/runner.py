@@ -6,9 +6,9 @@ algorithm — the paper's protocol of evaluating all competitors on
 identical inputs.
 
 The context rides on the :mod:`repro.perf` layer: a shared
-:class:`~repro.perf.cache.TranscriptionCache` memoises the clean step
+:class:`~repro.ocr.cache.TranscriptionCache` memoises the clean step
 (so harness *and* pipeline transcribe each document exactly once per
-process), a :class:`~repro.perf.metrics.PipelineMetrics` accumulator
+process), a :class:`~repro.instrument.PipelineMetrics` accumulator
 records where the wall-time goes, and :meth:`ExperimentContext.
 run_pipeline` fans a dataset out across a
 :class:`~repro.perf.runner.CorpusRunner` process pool.
@@ -22,10 +22,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.select import Extraction
 from repro.doc import Document
 from repro.geometry import BBox
+from repro.instrument import PipelineMetrics
 from repro.ocr import OcrEngine
+from repro.ocr.cache import TranscriptionCache
 from repro.ocr.deskew import rotate_back
-from repro.perf.cache import TranscriptionCache
-from repro.perf.metrics import PipelineMetrics
 from repro.perf.runner import CorpusRunner, CorpusRunResult
 from repro.synth import Corpus, generate_corpus, train_test_split
 

@@ -38,7 +38,7 @@ from repro.eval.metrics import (
 from repro.eval.significance import paired_t_test
 from repro.harness.reporting import TableResult
 from repro.harness.runner import ExperimentContext
-from repro.perf.metrics import PipelineMetrics
+from repro.instrument import PipelineMetrics
 from repro.ocr.layout_analysis import tesseract_blocks
 from repro.synth.corpus import entity_vocabulary
 from repro.synth.websites import HOLDOUT_SOURCES

@@ -4,8 +4,7 @@ This module sits at the *base* of the layering order — it imports
 nothing from the rest of :mod:`repro` — so every layer (``core``, the
 harness, the perf runner) can record into the same accumulator without
 bending the dependency rules that ``repro.analysis.lint`` enforces
-(``LAYER001``: ``core`` never imports ``repro.perf``).  The historical
-import path :mod:`repro.perf.metrics` re-exports everything here.
+(``LAYER001``: ``core`` never imports ``repro.perf``).
 
 :class:`PipelineMetrics` is a lightweight accumulator of wall-time,
 call counts and item counts per named stage.  :class:`StageTimer` is

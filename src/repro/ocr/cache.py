@@ -10,8 +10,7 @@ to both and a corpus is transcribed exactly once per process.
 
 The cache lives in :mod:`repro.ocr` — the layer that owns the clean
 step — so the pipeline can import it without depending on
-``repro.perf`` (layering rule ``LAYER001``); :mod:`repro.perf.cache`
-re-exports it under the historical path.
+``repro.perf`` (layering rule ``LAYER001``).
 
 The cache is thread-safe (a lock guards the dict) but intentionally
 per-process: the parallel :class:`repro.perf.runner.CorpusRunner`

@@ -1,27 +1,29 @@
-"""Performance layer: instrumentation, memoisation, parallel execution.
+"""Performance layer: parallel corpus execution and bench snapshots.
 
-Three pieces, each usable alone:
+* :mod:`repro.perf.runner` — :class:`CorpusRunner` and
+  :class:`WarmProcessPool`, the one corpus execution engine: a
+  persistent pool of forked workers that build the pipeline once, a
+  single dispatch loop with chunked tasks, deterministic result
+  ordering, per-document error isolation, worker replacement and
+  (under a :class:`~repro.resilience.supervisor.SupervisionPolicy`)
+  watchdog, retry, quarantine and checkpoint/resume;
+* :mod:`repro.perf.snapshot` — ``BENCH_*.json`` timing snapshots and
+  their comparison.
 
-* :mod:`repro.perf.metrics` — :class:`StageTimer` /
-  :class:`PipelineMetrics`, the per-stage wall-time/call/item
-  accumulator threaded through the pipeline;
-* :mod:`repro.perf.cache` — :class:`TranscriptionCache`, memoising the
-  OCR-transcription + deskew step keyed by ``(seed, doc_id)``;
-* :mod:`repro.perf.runner` — :class:`CorpusRunner`, the process-pool
-  corpus executor with chunked dispatch, deterministic result ordering
-  and per-document error isolation;
-* :mod:`repro.perf.profiles` — :class:`RegionProfile` /
-  :class:`ProfileStore`, the prefix-sum projection profiles behind the
-  ``segment.cuts`` fast path (see ``docs/PERFORMANCE.md``).
+The instrumentation it builds on lives below it and is re-exported
+here for convenience: :class:`PipelineMetrics` / :class:`StageTimer`
+(:mod:`repro.instrument`), :class:`TranscriptionCache`
+(:mod:`repro.ocr.cache`) and the ``segment.cuts`` projection profiles
+(:mod:`repro.geometry.profiles`, see ``docs/PERFORMANCE.md``).
 
 See ``docs/ARCHITECTURE.md`` for where each hooks into the pipeline and
 ``docs/PROFILING.md`` for the operator's view (``--workers`` /
 ``--profile`` and ``BENCH_*.json`` snapshots).
 """
 
-from repro.perf.cache import TranscriptionCache, transcribe_and_clean
-from repro.perf.metrics import PipelineMetrics, StageStats, StageTimer, merge_all
-from repro.perf.profiles import ProfileStore, RegionProfile
+from repro.geometry.profiles import ProfileStore, RegionProfile
+from repro.instrument import PipelineMetrics, StageStats, StageTimer, merge_all
+from repro.ocr.cache import TranscriptionCache, transcribe_and_clean
 from repro.perf.runner import (
     CorpusRunError,
     CorpusRunner,

@@ -16,7 +16,7 @@ import json
 import pathlib
 from typing import Dict, List, Optional, Union
 
-from repro.perf.metrics import PipelineMetrics
+from repro.instrument import PipelineMetrics
 
 #: Bumped when the JSON layout changes incompatibly.  ``/2`` added the
 #: optional per-stage ``hist``/``max_seconds`` latency-histogram fields;

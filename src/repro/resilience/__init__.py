@@ -9,15 +9,12 @@ Two halves, importable independently:
   plan seed alone.  Core pipeline code only ever calls the free
   function :func:`fault_site`, which is a no-op unless a plan is
   installed.
-* :mod:`repro.resilience.supervisor` — the supervised execution layer
-  behind ``CorpusRunner(..., supervision=SupervisionPolicy(...))``:
-  per-document timeouts with worker replacement, deterministic retry
-  with a virtual backoff budget, quarantine, and JSONL
-  checkpoint/resume.
-
-The supervisor half pulls in ``repro.perf``; it is exposed lazily so
-that ``repro.core`` modules can import the faults half without
-violating the layer rules (LAYER001).
+* :mod:`repro.resilience.supervisor` — the policy and report of
+  supervised execution, ``CorpusRunner(...,
+  supervision=SupervisionPolicy(...))``: per-document timeouts with
+  worker replacement, deterministic retry with a virtual backoff
+  budget, quarantine, and JSONL checkpoint/resume.  The loop that
+  applies it is the corpus runner's own (:mod:`repro.perf.runner`).
 """
 
 from __future__ import annotations
@@ -47,13 +44,11 @@ from repro.resilience.quarantine import (
     QuarantineEntry,
     QuarantineReport,
 )
-
-_SUPERVISOR_EXPORTS = {
-    "SupervisionPolicy",
-    "SupervisionEvent",
-    "SupervisionReport",
-    "run_supervised",
-}
+from repro.resilience.supervisor import (
+    SupervisionEvent,
+    SupervisionPolicy,
+    SupervisionReport,
+)
 
 __all__ = [
     "BackoffClock",
@@ -83,13 +78,4 @@ __all__ = [
     "SupervisionPolicy",
     "SupervisionEvent",
     "SupervisionReport",
-    "run_supervised",
 ]
-
-
-def __getattr__(name: str):
-    if name in _SUPERVISOR_EXPORTS:
-        from repro.resilience import supervisor
-
-        return getattr(supervisor, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

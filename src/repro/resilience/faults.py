@@ -101,7 +101,7 @@ _KIND_ALIASES = {
 ISOLATION_SITES = frozenset(
     {
         "repro.core.pipeline.VS2Pipeline.run",
-        "repro.resilience.supervisor._supervised_worker_main",
+        "repro.perf.runner._worker_main",
     }
 )
 

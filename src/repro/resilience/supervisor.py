@@ -1,18 +1,16 @@
-"""Supervised corpus execution: watchdog, retries, quarantine, resume.
+"""Supervision: the policy and the report of a supervised corpus run.
 
-:func:`run_supervised` is the engine behind ``CorpusRunner(...,
-supervision=SupervisionPolicy(...))``.  It upgrades the plain runner's
-error isolation into full supervision:
+``CorpusRunner(..., supervision=SupervisionPolicy(...))`` runs its one
+dispatch loop (:mod:`repro.perf.runner`) under this policy:
 
-* **per-document timeout** — parallel workers are hand-managed
-  ``multiprocessing`` processes (a ``ProcessPoolExecutor`` can neither
-  preempt a hung task nor survive a dead worker); the parent watchdog
-  kills any worker past its per-document deadline and replaces it, so
-  the pool stays alive;
+* **per-document timeout** — pool tasks carry one document each; the
+  loop's watchdog kills any worker past its per-document deadline and
+  replaces it, so the pool stays alive;
 * **crash containment** — a worker that dies mid-document (an injected
   ``crash``, a segfault) is detected via its pipe's EOF, the document
   is re-queued or quarantined, and a replacement worker boots;
-* **deterministic retry** — transient :class:`DocumentFailure`\\ s are
+* **deterministic retry** — transient
+  :class:`~repro.perf.runner.DocumentFailure`\\ s are
   retried up to :attr:`SupervisionPolicy.max_attempts` with capped
   exponential backoff charged to a virtual
   :class:`~repro.resilience.budget.BackoffClock` (no sleeping);
@@ -37,54 +35,26 @@ parallel runs of the same plan seed.
 
 from __future__ import annotations
 
-import logging
-import os
-import time
-from collections import deque
-from dataclasses import dataclass, field
-from multiprocessing import get_context
-from multiprocessing.connection import wait as _conn_wait
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict, List, Optional
 
-from repro.instrument import PipelineMetrics
-from repro.obs.registry import (
-    MetricRegistry,
-    get_registry,
-    ingest_pipeline_metrics,
-)
-from repro.obs.resources import sample_resources
-from repro.perf.runner import (
-    CorpusRunResult,
-    DocumentFailure,
-    _cache_counts,
-    _default_factory,
-    _emit_cache_counters,
-    _run_one,
-)
-from repro.resilience import faults as _faults
-from repro.resilience.budget import BackoffClock, backoff_seconds
-from repro.resilience.checkpoint import CheckpointLog, run_fingerprint
-from repro.resilience.quarantine import AttemptRecord, QuarantineEntry, QuarantineReport
-from repro.trace import NULL_TRACER, Span, Tracer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.doc import Document
-    from repro.perf.runner import CorpusRunner
-
-_LOG = logging.getLogger("repro.resilience.supervisor")
+from repro.resilience.quarantine import QuarantineReport
 
 
 @dataclass(frozen=True)
 class SupervisionPolicy:
-    """Knobs of the supervised execution layer.
+    """Knobs of supervised execution.
 
     ``timeout_s`` is the per-document wall-clock budget enforced by the
-    parallel watchdog (``None`` disables it; the serial path cannot
-    preempt and ignores it).  ``max_attempts`` bounds tries per
+    pool watchdog (``None`` disables it; in-process tasks cannot be
+    preempted and ignore it).  ``max_attempts`` bounds tries per
     document; backoff between attempt *k* and *k+1* is
     ``min(cap, base * 2**(k-1))`` virtual seconds.
+    ``boot_timeout_s`` bounds a worker's boot, and
     ``max_worker_replacements`` caps how many replacement workers one
-    run may boot before degrading to supervised-serial execution.
+    run may boot before degrading to in-process execution; runs without
+    a policy (and :meth:`~repro.perf.runner.WarmProcessPool.boot`) use
+    the defaults of these two.
     """
 
     timeout_s: Optional[float] = 60.0
@@ -109,17 +79,6 @@ class SupervisionEvent:
     message: str = ""
     backoff_s: float = 0.0
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "doc_index": self.doc_index,
-            "doc_id": self.doc_id,
-            "attempt": self.attempt,
-            "error_type": self.error_type,
-            "message": self.message,
-            "backoff_s": self.backoff_s,
-        }
-
 
 @dataclass
 class SupervisionReport:
@@ -139,582 +98,9 @@ class SupervisionReport:
         parity surface.  ``worker_replace`` events are excluded (worker
         scheduling is inherently parallel-only)."""
         rows = [
-            e.to_dict()
+            asdict(e)
             for e in self.events
             if e.kind not in {"worker_replace", "degrade_serial"}
         ]
         rows.sort(key=lambda r: (r["doc_index"], r["attempt"], r["kind"], r["doc_id"]))
         return rows
-
-
-def _synthetic_failure(
-    doc: "Document", index: int, error_type: str, message: str
-) -> DocumentFailure:
-    """A failure the *supervisor* observed (timeout, crash) rather than
-    one the pipeline raised — always transient: the next attempt may
-    land on a healthy worker."""
-    return DocumentFailure(
-        doc_id=doc.doc_id,
-        error_type=error_type,
-        message=message,
-        traceback="",
-        doc_index=index,
-        transient=True,
-    )
-
-
-def _failure_to_dict(failure: DocumentFailure) -> Dict[str, Any]:
-    return {
-        "doc_id": failure.doc_id,
-        "error_type": failure.error_type,
-        "message": failure.message,
-        "traceback": failure.traceback,
-        "doc_index": failure.doc_index,
-        "span_path": failure.span_path,
-        "ocr_seed": failure.ocr_seed,
-        "transient": failure.transient,
-    }
-
-
-def _failure_from_dict(data: Dict[str, Any]) -> DocumentFailure:
-    return DocumentFailure(
-        doc_id=str(data["doc_id"]),
-        error_type=str(data["error_type"]),
-        message=str(data.get("message", "")),
-        traceback=str(data.get("traceback", "")),
-        doc_index=int(data.get("doc_index", -1)),
-        span_path=str(data.get("span_path", "")),
-        ocr_seed=data.get("ocr_seed"),
-        transient=bool(data.get("transient", False)),
-    )
-
-
-# ----------------------------------------------------------------------
-# Worker process
-# ----------------------------------------------------------------------
-def _supervised_worker_main(
-    wid: int, conn, dataset, config, factory, trace_enabled: bool, plan
-) -> None:
-    """Entry point of one supervised worker process.
-
-    Protocol (over the duplex pipe): sends ``("ready", wid)`` after a
-    successful boot or ``("boot_failed", wid, type, msg)``; then for
-    every ``(index, doc, attempt)`` task received, replies ``("done",
-    wid, index, attempt, result, failure, metrics, spans, registry)``
-    where ``registry`` is the drained metric-registry dump for that
-    task.  ``None`` means shut down.
-    """
-    tracer = Tracer() if trace_enabled else NULL_TRACER
-    get_registry().drain()  # fork-inherited ambient samples belong to the parent
-    if plan is not None:
-        _faults.install(plan, tracer=tracer, preemptible=True)
-    try:
-        _faults.fault_site("worker.boot", doc_id=f"worker:{wid}", attempt=1)
-        pipeline = (
-            factory() if factory is not None else _default_factory(dataset, config, tracer=tracer)
-        )
-        pipeline.metrics.drain()
-    except BaseException as exc:  # noqa: EXC102 - boot failures are reported over the pipe, not raised
-        try:
-            conn.send(("boot_failed", wid, type(exc).__name__, str(exc)))
-        finally:
-            conn.close()
-        return
-    conn.send(("ready", wid))
-    while True:
-        try:
-            task = conn.recv()
-        except (EOFError, OSError):  # pragma: no cover - parent died
-            break
-        if task is None:
-            break
-        index, doc, attempt = task
-        cache_before = _cache_counts(pipeline)
-        index, result, failure = _run_one(pipeline, index, doc, tracer, attempt=attempt)
-        _emit_cache_counters(pipeline, cache_before)
-        sample_resources(get_registry(), worker=f"pid{os.getpid()}")
-        spans = [span.to_dict() for span in tracer.drain()]
-        metrics = pipeline.metrics.drain().to_dict()
-        registry_dump = get_registry().drain().to_dict()
-        try:
-            conn.send(
-                ("done", wid, index, attempt, result, failure, metrics, spans, registry_dump)
-            )
-        except (OSError, ValueError):  # pragma: no cover - parent died mid-send
-            break
-    conn.close()
-
-
-class _WorkerHandle:
-    __slots__ = ("wid", "proc", "conn", "ready", "task", "deadline")
-
-    def __init__(self, wid, proc, conn, deadline):
-        self.wid = wid
-        self.proc = proc
-        self.conn = conn
-        self.ready = False
-        self.task: Optional[Tuple[int, int]] = None  # (doc index, attempt)
-        self.deadline: Optional[float] = deadline
-
-
-# ----------------------------------------------------------------------
-# The supervisor
-# ----------------------------------------------------------------------
-def run_supervised(
-    runner: "CorpusRunner",
-    docs: Sequence["Document"],
-    clock: Optional[BackoffClock] = None,
-) -> CorpusRunResult:
-    """Run ``docs`` through ``runner``'s pipeline under its
-    :class:`SupervisionPolicy`; never raises for per-document errors."""
-    return _Supervisor(runner, runner.supervision, clock=clock).run(list(docs))
-
-
-class _Supervisor:
-    def __init__(
-        self,
-        runner: "CorpusRunner",
-        policy: SupervisionPolicy,
-        clock: Optional[BackoffClock] = None,
-    ):
-        self.runner = runner
-        self.policy = policy
-        self.tracer = runner.tracer
-        self.clock = clock if clock is not None else BackoffClock()
-        self.metrics = PipelineMetrics()
-        self.registry: MetricRegistry = runner.registry
-        self.report = SupervisionReport()
-        self.docs: List["Document"] = []
-        self.slots: List[Optional[Any]] = []
-        self.failures: List[DocumentFailure] = []
-        self.attempt_log: Dict[int, List[AttemptRecord]] = {}
-        self.pending: "deque[Tuple[int, int]]" = deque()
-        self.open_docs: set = set()
-        self.adopted: List[Span] = []
-        self.checkpoint: Optional[CheckpointLog] = None
-        self._boot_seq = 0
-        self._replacements = 0
-
-    # ------------------------------------------------------------------
-    def run(self, docs: List["Document"]) -> CorpusRunResult:
-        self.docs = docs
-        self.slots = [None] * len(docs)
-        todo = self._open_checkpoint_and_resume(docs)
-        with self.metrics.stage("corpus") as t, self.tracer.span(
-            "corpus", dataset=self.runner.dataset, docs=len(docs)
-        ):
-            t.items = len(docs)
-            tasks = [(index, 1) for index in todo]
-            if tasks:
-                if self.runner.workers <= 1 or len(tasks) <= 1:
-                    self._run_serial(tasks)
-                else:
-                    self._run_parallel(tasks)
-            self._adopt_spans()
-        self.report.backoff_s = self.clock.total_s
-        if self.report.backoff_s:
-            self.registry.counter("repro.resilience.backoff_seconds").inc(
-                self.report.backoff_s
-            )
-        if self.checkpoint is not None:
-            self.checkpoint.close()
-        if self.policy.quarantine_report_path:
-            self.report.quarantine.write(self.policy.quarantine_report_path)
-        self.failures.sort(key=lambda f: (f.doc_index, f.doc_id))
-        # Serial supervised attempts emit into the parent's ambient
-        # registry; parallel attempts arrived as per-task dumps.  Fold
-        # both plus stage accounting and parent resource marks here.
-        self.registry.merge(get_registry().drain())
-        ingest_pipeline_metrics(self.metrics, self.registry)
-        sample_resources(self.registry, worker="main")
-        return CorpusRunResult(
-            results=self.slots,
-            failures=self.failures,
-            metrics=self.metrics,
-            degrade_reason=self.report.degrade_reason,
-            supervision=self.report,
-            registry=self.registry,
-        )
-
-    # ------------------------------------------------------------------
-    # Checkpoint / resume
-    # ------------------------------------------------------------------
-    def _open_checkpoint_and_resume(self, docs: List["Document"]) -> List[int]:
-        todo = list(range(len(docs)))
-        if not self.policy.checkpoint_path:
-            return todo
-        plan = self.runner.fault_plan
-        fingerprint = run_fingerprint(
-            self.runner.dataset,
-            [d.doc_id for d in docs],
-            plan.spec_key() if plan is not None else None,
-            self.policy.max_attempts,
-        )
-        self.checkpoint = CheckpointLog.open(self.policy.checkpoint_path, fingerprint)
-        remaining = []
-        for index in todo:
-            doc = docs[index]
-            if index in self.checkpoint.completed:
-                self.slots[index] = self.checkpoint.completed[index]
-                self._note_resume(index, doc.doc_id)
-            elif index in self.checkpoint.quarantined:
-                record = self.checkpoint.quarantined[index]
-                failure = _failure_from_dict(record["failure"])
-                self.failures.append(failure)
-                self.report.quarantine.entries.append(
-                    QuarantineEntry.from_dict(record["entry"])
-                )
-                self._note_resume(index, doc.doc_id)
-            else:
-                remaining.append(index)
-        return remaining
-
-    def _note_resume(self, index: int, doc_id: str) -> None:
-        self.report.resumed_docs += 1
-        self.report.events.append(SupervisionEvent("resume", index, doc_id, 0))
-        self.metrics.count("resilience.resume")
-        self.registry.counter("repro.resilience.resumes").inc()
-        self.tracer.event("runner.resume", doc_id=doc_id, doc_index=index)
-
-    # ------------------------------------------------------------------
-    # Attempt resolution (shared by the serial and parallel paths)
-    # ------------------------------------------------------------------
-    def _resolve_success(self, index: int, attempt: int, result) -> None:
-        doc = self.docs[index]
-        self.slots[index] = result
-        self.report.attempts[doc.doc_id] = attempt
-        self.open_docs.discard(index)
-        if self.checkpoint is not None:
-            self.checkpoint.record_result(index, doc.doc_id, result)
-
-    def _resolve_failure(
-        self, index: int, attempt: int, failure: DocumentFailure, kind: str = "fault"
-    ) -> bool:
-        """Record one failed attempt; returns ``True`` when the doc
-        should be retried (caller re-queues it at ``attempt + 1``)."""
-        doc = self.docs[index]
-        record_kind = kind if kind != "fault" else (
-            "transient" if failure.transient else "permanent"
-        )
-        self.attempt_log.setdefault(index, []).append(
-            AttemptRecord(attempt, record_kind, failure.error_type, failure.message)
-        )
-        if failure.transient and attempt < self.policy.max_attempts:
-            backoff = backoff_seconds(
-                attempt, self.policy.backoff_base_s, self.policy.backoff_cap_s
-            )
-            self.clock.charge(backoff)
-            self.report.events.append(
-                SupervisionEvent(
-                    "retry", index, doc.doc_id, attempt,
-                    failure.error_type, failure.message, backoff,
-                )
-            )
-            self.metrics.count("resilience.retry")
-            self.metrics.record("resilience.backoff", backoff, calls=0)
-            self.registry.counter(
-                "repro.resilience.retries", error_type=failure.error_type
-            ).inc()
-            self.tracer.event(
-                "runner.retry",
-                doc_id=doc.doc_id,
-                doc_index=index,
-                attempt=attempt,
-                error_type=failure.error_type,
-                backoff_s=backoff,
-            )
-            return True
-        self._quarantine(index, attempt, failure)
-        return False
-
-    def _quarantine(self, index: int, attempt: int, failure: DocumentFailure) -> None:
-        doc = self.docs[index]
-        entry = QuarantineEntry(
-            doc_id=doc.doc_id,
-            doc_index=index,
-            error_type=failure.error_type,
-            message=failure.message,
-            attempts=tuple(self.attempt_log.get(index, [])),
-            traceback=failure.traceback,
-        )
-        self.report.quarantine.entries.append(entry)
-        self.failures.append(failure)
-        self.report.attempts[doc.doc_id] = attempt
-        self.report.events.append(
-            SupervisionEvent(
-                "quarantine", index, doc.doc_id, attempt,
-                failure.error_type, failure.message,
-            )
-        )
-        self.open_docs.discard(index)
-        self.metrics.count("resilience.quarantine")
-        self.registry.counter(
-            "repro.resilience.quarantines", error_type=failure.error_type
-        ).inc()
-        self.tracer.event(
-            "runner.quarantine",
-            doc_id=doc.doc_id,
-            doc_index=index,
-            attempts=attempt,
-            error_type=failure.error_type,
-        )
-        if self.checkpoint is not None:
-            self.checkpoint.record_quarantine(
-                index, doc.doc_id, _failure_to_dict(failure), entry.to_dict()
-            )
-
-    # ------------------------------------------------------------------
-    # Serial supervised execution
-    # ------------------------------------------------------------------
-    def _run_serial(self, tasks: List[Tuple[int, int]]) -> None:
-        """In-process supervision: same retry/quarantine semantics, but
-        no preemption — ``hang``/``crash`` faults simulate as transient
-        raises (see :mod:`repro.resilience.faults`)."""
-        runner = self.runner
-        pipeline = runner._serial()
-        pipeline.metrics.drain()
-        installed = False
-        if runner.fault_plan is not None and not _faults.is_installed():
-            _faults.install(runner.fault_plan, tracer=self.tracer)
-            installed = True
-        try:
-            for index, first_attempt in tasks:
-                doc = self.docs[index]
-                self.open_docs.add(index)
-                attempt = first_attempt
-                while True:
-                    _, result, failure = _run_one(
-                        pipeline, index, doc, self.tracer, attempt=attempt
-                    )
-                    if failure is None:
-                        self._resolve_success(index, attempt, result)
-                        break
-                    if self._resolve_failure(index, attempt, failure):
-                        attempt += 1
-                        continue
-                    break
-        finally:
-            if installed:
-                _faults.uninstall()
-        self.metrics.merge(pipeline.metrics.drain())
-
-    # ------------------------------------------------------------------
-    # Parallel supervised execution
-    # ------------------------------------------------------------------
-    def _run_parallel(self, tasks: List[Tuple[int, int]]) -> None:
-        try:
-            ctx = get_context("fork")
-        except ValueError:  # pragma: no cover - platform without fork
-            ctx = get_context()
-        self.pending = deque(tasks)
-        self.open_docs = {index for index, _ in tasks}
-        workers: Dict[int, _WorkerHandle] = {}
-        try:
-            for _ in range(min(self.runner.workers, max(1, len(tasks)))):
-                self._spawn(workers, ctx)
-        except (OSError, ValueError) as exc:  # no process support: degrade, don't die
-            self._shutdown(workers)
-            self._degrade_to_serial(f"{type(exc).__name__}: {exc}")
-            return
-        try:
-            while self.open_docs:
-                if not workers:
-                    self._degrade_to_serial("worker pool exhausted (replacement cap reached)")
-                    return
-                self._dispatch(workers)
-                self._poll(workers, ctx)
-                self._watchdog(workers, ctx)
-        finally:
-            self._shutdown(workers)
-
-    def _degrade_to_serial(self, reason: str) -> None:
-        _LOG.warning("supervised parallel run degraded to serial: %s", reason)
-        self.report.degrade_reason = reason
-        self.report.events.append(SupervisionEvent("degrade_serial", -1, "", 0, message=reason))
-        self.tracer.event("runner.degrade", reason=reason, to="serial")
-        remaining = sorted(self.pending)
-        self.pending = deque()
-        self._run_serial(remaining)
-
-    def _spawn(self, workers: Dict[int, _WorkerHandle], ctx) -> None:
-        self._boot_seq += 1
-        wid = self._boot_seq
-        parent_conn, child_conn = ctx.Pipe()
-        proc = ctx.Process(
-            target=_supervised_worker_main,
-            args=(
-                wid,
-                child_conn,
-                self.runner.dataset,
-                self.runner.config,
-                self.runner.pipeline_factory,
-                self.tracer.enabled,
-                self.runner.fault_plan,
-            ),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        workers[wid] = _WorkerHandle(
-            wid, proc, parent_conn, time.monotonic() + self.policy.boot_timeout_s
-        )
-
-    def _dispatch(self, workers: Dict[int, _WorkerHandle]) -> None:
-        for handle in list(workers.values()):
-            if not self.pending:
-                break
-            if not handle.ready or handle.task is not None:
-                continue
-            index, attempt = self.pending.popleft()
-            handle.conn.send((index, self.docs[index], attempt))
-            handle.task = (index, attempt)
-            handle.deadline = (
-                time.monotonic() + self.policy.timeout_s
-                if self.policy.timeout_s is not None
-                else None
-            )
-
-    def _poll(self, workers: Dict[int, _WorkerHandle], ctx) -> None:
-        by_conn = {handle.conn: handle for handle in workers.values()}
-        if not by_conn:
-            return
-        for conn in _conn_wait(list(by_conn), timeout=0.05):
-            handle = by_conn[conn]
-            if handle.wid not in workers:
-                continue  # already reaped this round
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                self._on_worker_death(workers, ctx, handle)
-                continue
-            self._on_message(workers, ctx, handle, message)
-
-    def _watchdog(self, workers: Dict[int, _WorkerHandle], ctx) -> None:
-        now = time.monotonic()
-        for handle in list(workers.values()):
-            if handle.deadline is None or now <= handle.deadline:
-                continue
-            self._kill(handle)
-            task = handle.task
-            self._remove(workers, handle)
-            if task is None:
-                self._replace(workers, ctx, "worker boot timed out")
-                continue
-            index, attempt = task
-            doc = self.docs[index]
-            self.metrics.count("resilience.timeout")
-            self.registry.counter("repro.resilience.timeouts").inc()
-            self.tracer.event(
-                "runner.timeout",
-                doc_id=doc.doc_id,
-                doc_index=index,
-                attempt=attempt,
-                timeout_s=self.policy.timeout_s,
-            )
-            failure = _synthetic_failure(
-                doc, index, "DocumentTimeout",
-                f"document exceeded the {self.policy.timeout_s}s supervision "
-                f"timeout (attempt {attempt})",
-            )
-            if self._resolve_failure(index, attempt, failure, kind="timeout"):
-                self.pending.append((index, attempt + 1))
-            self._replace(workers, ctx, "worker killed after document timeout")
-
-    def _on_message(self, workers, ctx, handle: _WorkerHandle, message) -> None:
-        tag = message[0]
-        if tag == "ready":
-            handle.ready = True
-            handle.deadline = None
-        elif tag == "boot_failed":
-            _, _wid, error_type, text = message
-            self._remove(workers, handle)
-            self._replace(workers, ctx, f"worker boot failed: {error_type}: {text}")
-        elif tag == "done":
-            (_, _wid, index, attempt, result, failure,
-             metrics_dict, span_dicts, registry_dump) = message
-            handle.task = None
-            handle.deadline = None
-            self.metrics.merge(PipelineMetrics.from_dict(metrics_dict))
-            self.registry.merge(MetricRegistry.from_dict(registry_dump))
-            self.adopted.extend(Span.from_dict(s) for s in span_dicts)
-            if failure is None:
-                self._resolve_success(index, attempt, result)
-            elif self._resolve_failure(index, attempt, failure):
-                self.pending.append((index, attempt + 1))
-
-    def _on_worker_death(self, workers, ctx, handle: _WorkerHandle) -> None:
-        task = handle.task
-        booted = handle.ready
-        self._remove(workers, handle)
-        if task is not None:
-            index, attempt = task
-            doc = self.docs[index]
-            failure = _synthetic_failure(
-                doc, index, "WorkerCrash",
-                f"worker process died while running the document (attempt {attempt})",
-            )
-            if self._resolve_failure(index, attempt, failure, kind="crash"):
-                self.pending.append((index, attempt + 1))
-            self._replace(workers, ctx, "worker crashed mid-document")
-        else:
-            self._replace(
-                workers, ctx,
-                "worker exited while idle" if booted else "worker died during boot",
-            )
-
-    def _replace(self, workers: Dict[int, _WorkerHandle], ctx, reason: str) -> None:
-        if not self.open_docs:
-            return
-        if self._replacements >= self.policy.max_worker_replacements:
-            return  # the main loop degrades to serial once the pool empties
-        self._replacements += 1
-        self.report.worker_replacements += 1
-        self.report.events.append(SupervisionEvent("worker_replace", -1, "", 0, message=reason))
-        self.metrics.count("resilience.worker_replace")
-        self.registry.counter("repro.resilience.worker_replacements").inc()
-        self.tracer.event("runner.worker_replace", reason=reason)
-        self._spawn(workers, ctx)
-
-    def _kill(self, handle: _WorkerHandle) -> None:
-        if handle.proc.is_alive():
-            handle.proc.terminate()
-            handle.proc.join(timeout=2)
-            if handle.proc.is_alive():  # pragma: no cover - SIGTERM ignored
-                handle.proc.kill()
-                handle.proc.join(timeout=2)
-
-    def _remove(self, workers: Dict[int, _WorkerHandle], handle: _WorkerHandle) -> None:
-        workers.pop(handle.wid, None)
-        try:
-            handle.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        if not handle.proc.is_alive():
-            handle.proc.join(timeout=1)
-
-    def _shutdown(self, workers: Dict[int, _WorkerHandle]) -> None:
-        for handle in list(workers.values()):
-            try:
-                handle.conn.send(None)
-            except (OSError, ValueError):  # pragma: no cover - worker already gone
-                pass
-        for handle in list(workers.values()):
-            handle.proc.join(timeout=2)
-            if handle.proc.is_alive():  # pragma: no cover - stuck worker
-                handle.proc.terminate()
-                handle.proc.join(timeout=2)
-            try:
-                handle.conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-        workers.clear()
-
-    def _adopt_spans(self) -> None:
-        self.adopted.sort(
-            key=lambda s: (
-                s.attrs.get("index", -1), s.attrs.get("attempt", 1), s.name,
-            )
-        )
-        for span in self.adopted:
-            self.tracer.adopt(span)
-        self.adopted = []

@@ -27,8 +27,9 @@ Concurrency model: admission, queue and resolution bookkeeping run on
 the event loop only; the single dispatcher task runs each blocking
 batch in the default thread-pool executor (the metric registry is the
 one structure both threads touch, and it locks internally).  The
-process pool is booted before the loop starts, so no process pool is
-ever created after a thread exists.
+process pool is booted before the loop starts; only a replacement for
+a dead worker forks later, from the dispatcher's executor thread (see
+:class:`~repro.perf.runner.WarmProcessPool` for why that is safe).
 
 Graceful drain: SIGTERM/SIGINT flips the service into draining (new
 requests shed with 429), the dispatcher finishes queued and in-flight

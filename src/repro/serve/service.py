@@ -43,7 +43,7 @@ from typing import Any, Deque, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.config import VS2Config
 from repro.obs.registry import MetricRegistry
-from repro.perf.metrics import PipelineMetrics
+from repro.instrument import PipelineMetrics
 from repro.perf.runner import CorpusRunner, CorpusRunResult, WarmProcessPool
 from repro.resilience import faults as _faults
 from repro.serve.breaker import CircuitBreaker

@@ -3,5 +3,5 @@
 from repro.core.cache import warm_cache
 
 
-def _init_worker(config):
+def _worker_main(config):
     warm_cache(config)

@@ -313,7 +313,7 @@ class TestConcurrencyPass:
         assert "module state '_CACHE'" in v.message
         assert "via alias 'cache'" in v.message
         # The chain crosses the file boundary back to the worker entry.
-        assert "warm_cache <- _init_worker" in v.message
+        assert "warm_cache <- _worker_main" in v.message
 
     def test_module_rules_alone_cannot_see_it(self, tmp_path):
         tree = copy_fixture(tmp_path, "conc_worker_global")
@@ -332,8 +332,31 @@ class TestConcurrencyPass:
     def test_write_without_worker_path_is_clean(self, tmp_path):
         tree = copy_fixture(tmp_path, "conc_worker_global")
         runner = tree / "repro" / "perf" / "runner.py"
-        runner.write_text("def _init_worker(config):\n    return config\n")
+        runner.write_text("def _worker_main(config):\n    return config\n")
         assert run_tree(tree) == []
+
+    def test_configured_worker_entries_exist_under_src(self):
+        """CONC101/102 find worker code through hard-coded names; a
+        rename must fail here instead of silently disarming the rules."""
+        import ast
+
+        from repro.analysis.passes.concurrency import BOUNDARY_MODULES, WORKER_ENTRIES
+
+        src = Path(__file__).resolve().parents[1] / "src"
+
+        def module_path(name):
+            path = src.joinpath(*name.split(".")).with_suffix(".py")
+            assert path.is_file(), f"{name} is not a module under src/"
+            return path
+
+        for module in BOUNDARY_MODULES:
+            module_path(module)
+        assert WORKER_ENTRIES
+        for module, names in WORKER_ENTRIES.items():
+            tree = ast.parse(module_path(module).read_text())
+            defined = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+            for name in names:
+                assert name in defined, f"worker entry {module}.{name} is not a function"
 
     def test_lambda_into_process_boundary(self, tmp_path):
         tree = copy_fixture(tmp_path, "conc_pickle_boundary")

@@ -313,7 +313,7 @@ class TestExtractionByteIdentity:
         full-check run — skipping proofs must never change results."""
         from repro.core.config import VS2Config
         from repro.core.pipeline import VS2Pipeline
-        from repro.perf.cache import TranscriptionCache
+        from repro.ocr.cache import TranscriptionCache
         from repro.synth import generate_corpus
 
         corpus = generate_corpus("D2", n=3, seed=0)

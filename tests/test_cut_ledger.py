@@ -7,7 +7,7 @@ import json
 
 from repro.core.config import VS2Config
 from repro.core.pipeline import VS2Pipeline
-from repro.perf.cache import TranscriptionCache
+from repro.ocr.cache import TranscriptionCache
 from repro.synth import generate_corpus
 from repro.trace import Tracer, cut_ledger, ledger_diff, ledger_lines
 

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
+import signal
 
 import pytest
 
@@ -352,7 +354,7 @@ class TestWarmProcessPool:
         with WarmProcessPool("D2", workers=2) as pool:
             pool.boot()
             assert pool.booted
-            assert len(pool.executor()._processes) >= 2
+            assert len(pool.pids()) == 2
         assert not pool.booted
 
     def test_shared_pool_survives_runner_runs(self, corpus):
@@ -374,6 +376,25 @@ class TestWarmProcessPool:
                 assert _extraction_key(s) == _extraction_key(p)
         # metrics drain per chunk: the second run is not double-counted
         assert first.metrics["select"].calls == second.metrics["select"].calls
+
+    def test_killed_worker_is_replaced_not_fatal(self, corpus):
+        from repro.perf import WarmProcessPool
+
+        pool = WarmProcessPool("D2", workers=2).boot()
+        try:
+            runner = CorpusRunner("D2", pool=pool)
+            runner.run(corpus)
+            victim = multiprocessing.active_children()[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=30)
+            assert not victim.is_alive()
+            second = runner.run(corpus)
+            assert len(pool.pids()) == 2
+            assert victim.pid not in pool.pids()
+        finally:
+            pool.close()
+        assert not second.failures
+        assert all(r is not None for r in second.results)
 
     def test_close_is_idempotent_and_reboots(self):
         from repro.perf import WarmProcessPool

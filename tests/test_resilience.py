@@ -258,10 +258,10 @@ class TestRunnerFailureReporting:
         logs, traces ``runner.degrade`` and records the reason."""
         from repro.perf import runner as runner_mod
 
-        def _no_pool(*args, **kwargs):
+        def _no_spawn(*args, **kwargs):
             raise OSError("process pools forbidden here")
 
-        monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", _no_pool)
+        monkeypatch.setattr(runner_mod.WarmProcessPool, "_spawn", _no_spawn)
         tracer = Tracer()
         docs = corpus(n=3)
         with caplog.at_level(logging.WARNING, logger="repro.perf.runner"):

@@ -22,6 +22,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -534,6 +535,61 @@ class TestServeHTTP:
         assert proc.returncode == 0, out
         with pytest.raises(ProcessLookupError):
             os.killpg(pgid, 0)
+
+    def _extract(self, port, index):
+        import urllib.error
+        import urllib.request
+
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{port}/extract",
+            data=json.dumps({"index": index}).encode(), method="POST",
+        )
+        try:
+            with urllib.request.urlopen(request, timeout=60) as resp:
+                return resp.status
+        except urllib.error.HTTPError as err:
+            return err.code
+
+    def test_killed_worker_is_replaced_while_serving(self, tmp_path):
+        """SIGKILL a pool worker while 2-document batches are in flight:
+        its documents retry, a replacement forks from the dispatcher
+        thread (after the event loop's threads exist) without hanging,
+        and the server still drains every request and exits 0."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        def children(pid):
+            out = set()
+            for tid in os.listdir(f"/proc/{pid}/task"):
+                with open(f"/proc/{pid}/task/{tid}/children") as fh:
+                    out.update(int(p) for p in fh.read().split())
+            return sorted(out)
+
+        proc, port = self._boot(tmp_path, "--batch-max", "2", "--queue-limit", "32")
+        pgid = os.getpgid(proc.pid)
+        try:
+            victim = children(proc.pid)[0]
+            with ThreadPoolExecutor(max_workers=16) as clients:
+                first = [clients.submit(self._extract, port, i % 8) for i in range(16)]
+                time.sleep(0.3)
+                os.kill(victim, signal.SIGKILL)
+                assert [f.result() for f in first] == [200] * 16
+                later = [clients.submit(self._extract, port, i % 8) for i in range(8)]
+                assert [f.result() for f in later] == [200] * 8
+            live = children(proc.pid)
+            assert len(live) == 2 and victim not in live
+        finally:
+            os.killpg(pgid, signal.SIGTERM)
+            try:
+                out, _ = proc.communicate(timeout=60)
+            except subprocess.TimeoutExpired:
+                os.killpg(pgid, signal.SIGKILL)
+                proc.communicate()
+                raise
+        assert proc.returncode == 0, out
+        drained = [l for l in out.splitlines() if "drained" in l]
+        accounting = json.loads(drained[0].split("drained ", 1)[1])
+        assert accounting["unaccounted"] == 0
+        assert accounting["ok"] == accounting["submitted"] == 24
 
     def test_malformed_extract_body_is_400(self, tmp_path):
         import urllib.error
