@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint lint-cold lint-flow lint-proofs contracts bench bench-smoke tables trace-smoke chaos-smoke metrics-smoke serve-smoke docs-check
+.PHONY: test lint lint-cold lint-flow lint-proofs contracts bench bench-smoke perfbench-selftest tables trace-smoke chaos-smoke metrics-smoke serve-smoke docs-check
 
 test: lint       ## the tier-1 suite (~600 unit/integration tests) + contract pass
 	$(PY) -m pytest -x -q
@@ -35,6 +35,9 @@ docs-check:      ## dead intra-repo markdown links + docs/ reachability from REA
 
 bench-smoke:     ## snapshot refresh + fast-vs-naive cut.decision ledger gate (docs/PERFORMANCE.md)
 	$(PY) -m pytest benchmarks/test_bench_smoke.py -m bench_smoke -q -s
+
+perfbench-selftest: ## every benchmark workload, traced and untraced, at tiny sizes + golden digests (~1 min)
+	$(PY) perfbench/selftest.py
 
 trace-smoke:     ## traced 3-doc extract + schema validation of both exporters
 	$(PY) -m repro extract --dataset D2 --n 3 --seed 0 \

@@ -133,9 +133,14 @@ def _gather_plan(
         stride = n_origins
         flat_first = first[:, None] * stride + safe
         flat_last = last[:, None] * stride + safe
+    # The plans stay cached for the life of the process; int32 halves
+    # their footprint, and is exact while every flat index of the
+    # ``n_origins × (n_cross + 1)`` prefix array fits in it.
+    fits = n_origins * (n_cross + 1) <= np.iinfo(np.int32).max
+    index_dtype = np.int32 if fits else np.int64
     return (
-        flat_first.astype(np.int64),
-        flat_last.astype(np.int64),
+        flat_first.astype(index_dtype),
+        flat_last.astype(index_dtype),
         ~valid,
         starts,
     )

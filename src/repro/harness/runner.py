@@ -73,7 +73,9 @@ class ExperimentContext:
         self.engine = OcrEngine(seed=ocr_seed)
         #: Clean-step memo shared with any pipeline built over this
         #: context (pass it to ``VS2Pipeline(cache=ctx.cache)``).
-        self.cache = cache or TranscriptionCache()
+        #: Unbounded: ``cleaned()`` and ``run_pipeline()`` each visit
+        #: the whole corpus, so every document is transcribed once.
+        self.cache = cache if cache is not None else TranscriptionCache(max_entries=None)
         #: Per-stage wall-time accumulated by everything this context runs.
         self.metrics = metrics or PipelineMetrics()
         self._corpora: Dict[str, Corpus] = {}

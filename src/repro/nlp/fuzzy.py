@@ -3,14 +3,14 @@
 D1's extraction matches field descriptors by exact string comparison
 (§5.2.1) — but the transcription those strings come from is OCR output,
 so "exact" must be read modulo transcription noise.  This module
-provides a banded Levenshtein distance and the prefix-matching test the
-selector uses.
+provides a bit-parallel Levenshtein distance and the prefix-matching
+test the selector uses.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import Dict, Optional
 
 
 def normalize_for_match(text: str) -> str:
@@ -21,27 +21,64 @@ def normalize_for_match(text: str) -> str:
 
 
 def edit_distance(a: str, b: str, cutoff: Optional[int] = None) -> int:
-    """Levenshtein distance with an optional early-exit ``cutoff``
-    (returns ``cutoff + 1`` when the distance provably exceeds it)."""
+    """Levenshtein distance between ``a`` and ``b``.
+
+    With a ``cutoff`` the result is ``min(distance, cutoff + 1)``: the
+    exact distance when it is at most ``cutoff``, else ``cutoff + 1``,
+    returned as soon as the distance provably exceeds the cutoff.
+
+    Myers' bit-vector algorithm in Hyyrö's Levenshtein form (Myers,
+    J. ACM 46(3), 1999; Hyyrö, 2001): one bit per character of the
+    shorter string holds the vertical delta (+1 in ``pv``, −1 in
+    ``mv``) of one column of the dynamic-programming matrix, and each
+    character of the longer string advances the whole column with a
+    fixed handful of integer operations.  Python ints are arbitrary
+    width, so any length works.  The arithmetic is exact, so the result
+    equals the quadratic recurrence (``tests/test_nlp_fuzzy.py`` keeps
+    it as the oracle).
+    """
     if a == b:
         return 0
     if len(a) > len(b):
         a, b = b, a
-    if cutoff is not None and len(b) - len(a) > cutoff:
+    m, n = len(a), len(b)
+    if cutoff is not None and n - m > cutoff:
         return cutoff + 1
-    previous = list(range(len(a) + 1))
-    for j, cb in enumerate(b, start=1):
-        current = [j]
-        best = j
-        for i, ca in enumerate(a, start=1):
-            cost = 0 if ca == cb else 1
-            value = min(previous[i] + 1, current[i - 1] + 1, previous[i - 1] + cost)
-            current.append(value)
-            best = min(best, value)
-        if cutoff is not None and best > cutoff:
-            return cutoff + 1
-        previous = current
-    return previous[-1]
+    if m == 0:
+        return n
+    peq: Dict[str, int] = {}
+    bit = 1
+    for ch in a:
+        peq[ch] = peq.get(ch, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    high = bit >> 1
+    pv, mv = mask, 0
+    # ``bound`` is the last row's score minus the characters of ``b``
+    # still to come — a lower bound on the distance, since each column
+    # moves the score by at most one.  It ends equal to the distance.
+    # Without a cutoff it can never exceed ``n``, so one loop serves both.
+    bound = m - n
+    limit = n if cutoff is None else cutoff
+    for ch in b:
+        # ``x ^ mask`` is ``~x`` on the low m bits, keeping ints positive.
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ((xh | pv) ^ mask)
+        mh = pv & xh
+        # The score moves by +1, 0 or −1 and one character fewer is to
+        # come, so the bound moves by 2, 1 or 0.
+        if ph & high:
+            bound += 2
+        elif not mh & high:
+            bound += 1
+        if bound > limit:
+            return limit + 1
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ((xv | ph) ^ mask)) & mask
+        mv = ph & xv
+    return bound
 
 
 def similarity_ratio(a: str, b: str) -> float:

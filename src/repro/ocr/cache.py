@@ -71,10 +71,17 @@ class TranscriptionCache:
     ``seed`` is part of the key so one cache may serve engines with
     different noise seeds (e.g. the pipeline's configured engine and a
     test's ad-hoc engine) without cross-talk.
+
+    By default at most 32 documents stay resident: a pool worker lives
+    for many runs and sees each document once per run, so an unbounded
+    memo would grow with every document the process ever cleaned.
+    :class:`repro.harness.ExperimentContext` owns whole corpora — it
+    cleans every document and then runs the pipeline over the same
+    ones — and is the one owner that passes ``max_entries=None``.
     """
 
-    def __init__(self, max_entries: Optional[int] = None):
-        #: Optional bound on resident entries; ``None`` means unbounded.
+    def __init__(self, max_entries: Optional[int] = 32):
+        #: Bound on resident entries; ``None`` means unbounded.
         #: Eviction is FIFO — corpora are processed in passes, so the
         #: oldest entry is also the least likely to be needed again.
         self.max_entries = max_entries

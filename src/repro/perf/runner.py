@@ -608,7 +608,7 @@ class CorpusRunner:
                 self._serial_pipeline = VS2Pipeline(
                     self.dataset,
                     config=self.config,
-                    cache=self.cache or TranscriptionCache(),
+                    cache=self.cache if self.cache is not None else TranscriptionCache(),
                     tracer=self.tracer,
                 )
         return self._serial_pipeline

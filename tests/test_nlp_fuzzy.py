@@ -1,7 +1,7 @@
 """Fuzzy matching and OCR repair."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.nlp.fuzzy import (
     edit_distance,
@@ -13,6 +13,26 @@ from repro.nlp.fuzzy import (
 )
 
 short_text = st.text(alphabet="abcdef 123", max_size=12)
+#: Arbitrary code points (non-ASCII included) up to 200 characters, so
+#: the bit-vector masks span several 64-bit words; the small-alphabet
+#: branches make the strings share characters, so alignments are
+#: non-trivial rather than mostly substitutions.
+oracle_text = st.one_of(
+    short_text, st.text(alphabet="abcé字 ", max_size=200), st.text(max_size=200)
+)
+
+
+def reference_edit_distance(a: str, b: str) -> int:
+    """The quadratic Levenshtein recurrence, one DP row at a time — the
+    oracle for the bit-parallel kernel."""
+    previous = list(range(len(a) + 1))
+    for j, cb in enumerate(b, start=1):
+        current = [j]
+        for i, ca in enumerate(a, start=1):
+            cost = 0 if ca == cb else 1
+            current.append(min(previous[i] + 1, current[i - 1] + 1, previous[i - 1] + cost))
+        previous = current
+    return previous[-1]
 
 
 class TestEditDistance:
@@ -30,6 +50,15 @@ class TestEditDistance:
 
     def test_cutoff_early_exit(self):
         assert edit_distance("aaaa", "bbbb", cutoff=2) == 3  # cutoff + 1
+
+    @given(oracle_text, oracle_text)
+    def test_matches_reference(self, a, b):
+        assert edit_distance(a, b) == reference_edit_distance(a, b)
+
+    @given(oracle_text, oracle_text, st.integers(min_value=0, max_value=3))
+    @example("ccbac", "abccb", 2)  # distance 4: must report 3, not 4
+    def test_cutoff_is_min_of_distance_and_cutoff_plus_one(self, a, b, k):
+        assert edit_distance(a, b, k) == min(reference_edit_distance(a, b), k + 1)
 
     @given(short_text, short_text)
     def test_symmetry(self, a, b):

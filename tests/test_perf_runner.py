@@ -273,6 +273,34 @@ class TestTranscriptionCache:
         assert ctx.cache.misses == misses_after_harness
         assert ctx.cache.hits >= len(ctx.corpus("D2"))
 
+    def test_context_keeps_an_empty_shared_cache(self):
+        shared = TranscriptionCache()
+        assert ExperimentContext({"D2": 2}, cache=shared).cache is shared
+
+    def test_serial_runner_fills_an_empty_shared_cache(self, corpus):
+        shared = TranscriptionCache()
+        CorpusRunner("D2", workers=1, cache=shared).run(corpus[:2])
+        assert shared.misses == 2 and len(shared) == 2
+
+    def test_default_bound_keeps_pipeline_memory_flat(self):
+        """A long-lived pipeline's cache stops growing at 32 documents."""
+        cache = TranscriptionCache()
+        pipeline = VS2Pipeline("D2", cache=cache)
+        for doc in generate_corpus("D2", n=36, seed=5):
+            pipeline.run(doc)
+        assert cache.misses == 36
+        assert len(cache) == 32
+
+    def test_context_transcribes_a_large_corpus_once(self):
+        """The context's own cache is unbounded: cleaning then running
+        more than 32 documents still transcribes each exactly once."""
+        ctx = ExperimentContext({"D2": 36}, seed=5, ocr_seed=0)
+        ctx.cleaned("D2")
+        outcome = ctx.run_pipeline("D2")
+        assert not outcome.failures
+        assert ctx.cache.misses == len(ctx.corpus("D2")) == 36
+        assert ctx.cache.hits == 36
+
 
 # ----------------------------------------------------------------------
 # CorpusRunner
