@@ -16,17 +16,9 @@ can run on every change::
 
 from __future__ import annotations
 
-import pathlib
-import time
-
 import pytest
 
-from repro.analysis.contracts import (
-    CONTRACT_STATS,
-    contracts,
-    contracts_mode,
-    use_proof_ledger,
-)
+from repro.analysis.contracts import contracts_mode
 from repro.core.config import VS2Config
 from repro.core.pipeline import VS2Pipeline
 from repro.harness import ExperimentContext, timing_table
@@ -99,62 +91,6 @@ def test_bench_smoke_fast_naive_equivalence(results_dir):
     assert speedup >= MIN_CUTS_SPEEDUP, (
         f"segment.cuts fast path regressed: {speedup:.2f}x < {MIN_CUTS_SPEEDUP}x "
         f"(fast={total_fast:.3f}s naive={total_naive:.3f}s)"
-    )
-
-
-@pytest.mark.bench_smoke
-def test_bench_smoke_contract_overhead(results_dir):
-    """Contract-mode overhead before/after proof-ledger skipping.
-
-    ``pareto_front``'s post-condition is a brute-force O(n²·d)
-    re-derivation — comparable in cost to the function itself — and the
-    committed ledger discharges the site (PROVED lemmas + the reviewed
-    ``# proof: assumed``).  A ledger-armed run must therefore return
-    identical results while measurably undercutting the full-check run.
-    """
-    from repro.optimize.pareto import pareto_front
-
-    ledger = pathlib.Path(__file__).resolve().parents[1] / "proof_ledger.json"
-    assert ledger.is_file(), "committed proof ledger missing"
-    points = [((i * 37) % 101, (i * 53) % 97, (i * 11) % 89) for i in range(150)]
-    reps = 6
-
-    def timed():
-        start = time.perf_counter()
-        for _ in range(reps):
-            front = pareto_front(points)
-        return front, time.perf_counter() - start
-
-    with contracts():
-        checked_before = CONTRACT_STATS["checked"]
-        front_checked, t_checked = timed()
-        assert CONTRACT_STATS["checked"] - checked_before == reps
-        assert use_proof_ledger(str(ledger)), "ledger did not load"
-        try:
-            assert contracts_mode() == "ledger-skip"
-            skipped_before = CONTRACT_STATS["skipped"]
-            front_skip, t_skip = timed()
-            assert CONTRACT_STATS["skipped"] - skipped_before == reps
-        finally:
-            use_proof_ledger(None)
-
-    assert front_skip == front_checked, "ledger skipping changed the result"
-    save_result(
-        results_dir,
-        "bench_smoke_contract_overhead",
-        (
-            f"pareto_front x{reps} (n=150, d=3): "
-            f"checked={t_checked:.4f}s ledger-skip={t_skip:.4f}s "
-            f"({t_checked / t_skip:.2f}x)"
-            if t_skip > 0
-            else "degenerate timing"
-        ),
-    )
-    # Loose gate: skipping must not be slower (the check costs about as
-    # much as the function; measured ~2x, the floor absorbs noise).
-    assert t_skip < t_checked, (
-        f"ledger skipping did not reduce contract overhead: "
-        f"checked={t_checked:.4f}s skip={t_skip:.4f}s"
     )
 
 

@@ -558,7 +558,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     result = check_project(
         [Path(p) for p in args.paths],
         rule_ids=args.rules or None,
-        jobs=args.jobs,
         cache_path=cache_path,
     )
     if args.graph:
@@ -577,43 +576,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
         s = result.stats
         print(
             f"repro check stats: {s['files']} file(s), {s['parsed']} parsed, "
-            f"{s['cached']} from cache, {s.get('cfgs', 0)} CFG(s) built, "
-            f"{s.get('value_summaries', 0)} value summaries built "
-            f"({s.get('values_cached', 0)} from cache)",
+            f"{s['cached']} from cache, {s.get('cfgs', 0)} CFG(s) built",
             file=sys.stderr,
         )
     if args.timings:
         print(result.metrics.format_table(title="repro check timings"), file=sys.stderr)
     print(format_json(violations) if args.format == "json" else format_human(violations))
-    exit_code = 1 if violations else 0
-    if args.proofs or args.write_proofs:
-        from repro.analysis.proofs import build_ledger, ledger_to_json
-
-        ledger_path = Path(args.proofs or args.write_proofs)
-        rendered = ledger_to_json(build_ledger(result.index, Path.cwd()))
-        n_sites = len(json.loads(rendered)["sites"])
-        if args.write_proofs:
-            ledger_path.write_text(rendered, encoding="utf-8")
-            print(f"wrote proof ledger ({n_sites} site(s)) to {ledger_path}")
-        else:
-            # Drift gate: the committed ledger must match a regeneration
-            # from the current source, byte for byte.
-            try:
-                committed = ledger_path.read_text(encoding="utf-8")
-            except OSError:
-                committed = None
-            if committed == rendered:
-                print(f"proof ledger {ledger_path}: up to date ({n_sites} site(s))")
-            else:
-                print(
-                    f"proof ledger {ledger_path} is "
-                    f"{'missing' if committed is None else 'stale'} — "
-                    f"regenerate with: repro check {' '.join(args.paths)} "
-                    f"--write-proofs {ledger_path}",
-                    file=sys.stderr,
-                )
-                exit_code = max(exit_code, 3)
-    return exit_code
+    return 1 if violations else 0
 
 
 def _add_trace_flags(p: argparse.ArgumentParser) -> None:
@@ -864,8 +833,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the rule catalogue (module rules + passes) and exit")
     p.add_argument("--explain", metavar="RULEID",
                    help="print one rule's documentation, example and fix, then exit")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="process count for the per-file stage (1 = serial)")
     p.add_argument("--cache", metavar="PATH", default=None,
                    help="content-hash result cache file (off unless given)")
     p.add_argument("--no-cache", action="store_true",
@@ -879,13 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print file/parse/cache/CFG counters to stderr")
     p.add_argument("--timings", action="store_true",
                    help="print per-stage and per-pass wall time to stderr")
-    p.add_argument("--proofs", nargs="?", const="proof_ledger.json",
-                   metavar="PATH",
-                   help="verify the committed proof ledger matches a "
-                        "regeneration from current source (exit 3 on drift)")
-    p.add_argument("--write-proofs", nargs="?", const="proof_ledger.json",
-                   metavar="PATH",
-                   help="regenerate and write the proof ledger")
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("render", help="rasterise a synthetic document to PPM")

@@ -12,9 +12,8 @@ Two halves, one goal — keeping the reproduction *trustworthy*:
 
 See ``docs/STATIC_ANALYSIS.md`` for the rule catalogue and how to add
 a rule.
+
+Nothing is re-exported here: the pipeline imports
+:mod:`repro.analysis.contracts` on every run, and importing this package
+must not load the linter with it.
 """
-
-from repro.analysis.lint import Violation, lint_paths
-from repro.analysis.contracts import ContractViolation, contracts_enabled
-
-__all__ = ["Violation", "lint_paths", "ContractViolation", "contracts_enabled"]

@@ -37,9 +37,10 @@ from repro.analysis.lint.engine import Violation
 #: the summary schema.
 #: /3: metric emissions and the METRIC_NAMES registry (repro.obs)
 #: joined the summary schema.
-#: /4: abstract-interpretation value summaries, contract sites and the
-#: ``proof: assumed`` pragma joined the summary schema.
-CACHE_SCHEMA = "repro.check.cache/4"
+#: /4: abstract-interpretation value summaries, contract sites and a
+#: proof pragma joined the summary schema.
+#: /5: the value summaries, contract sites and proof pragma left it.
+CACHE_SCHEMA = "repro.check.cache/5"
 
 
 def content_hash(data: bytes) -> str:

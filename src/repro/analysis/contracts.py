@@ -16,19 +16,6 @@ call, on real documents, whenever contracts are enabled:
 When disabled — the default — a ``@checked`` wrapper costs a single
 boolean test per call and the check functions are never invoked.
 
-**Proof-ledger skipping.**  ``repro check --proofs`` classifies every
-contract site's post-conditions statically (see
-:mod:`repro.analysis.proofs`) and commits the result as a ledger.
-Pointing ``REPRO_PROOF_LEDGER`` at that file (or calling
-:func:`use_proof_ledger`) lets ``@checked`` skip sites whose
-obligations are all PROVED or ASSUMED **and** whose source file still
-matches the ledger's SHA-256 fingerprint — proved contracts run
-check-free while everything unproven stays armed.  The ledger is
-consulted only when explicitly requested, so ``REPRO_CONTRACTS=1``
-alone always means full checking (what the contracts CI job runs).
-:data:`CONTRACT_STATS` counts checked vs skipped calls and
-:func:`contracts_mode` names the active mode for bench labelling.
-
 Checks are *independent re-implementations*, not calls back into the
 code under test: :func:`check_cut_sets_in_whitespace` re-walks the
 sheared cut lines cell by cell in scalar Python precisely because the
@@ -43,11 +30,9 @@ creating an import cycle.
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
 import os
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence
 
 from repro.geometry import BBox
 
@@ -88,95 +73,10 @@ def contracts(on: bool = True) -> Iterator[None]:
         _enabled = previous
 
 
-# ----------------------------------------------------------------------
-# Proof-ledger skipping
-# ----------------------------------------------------------------------
-
-#: Schema of the ledger ``repro check --proofs`` emits.  Kept as a
-#: literal (not imported from repro.analysis.proofs) to preserve this
-#: module's layering rule: nothing above repro.geometry is imported.
-_PROOF_SCHEMA = "repro.analysis.proofs/1"
-_LEDGER_ENV = "REPRO_PROOF_LEDGER"
-#: Obligation statuses that leave a site skippable.
-_DISCHARGED = ("PROVED", "ASSUMED")
-
-#: Calls whose post-condition ran vs. was skipped via the ledger.
-CONTRACT_STATS: Dict[str, int] = {"checked": 0, "skipped": 0}
-
-_ledger_sites: Optional[Dict[str, object]] = None
-#: Bumped on every ledger (re)load; wrappers memoise per epoch.
-_ledger_epoch = 0
-
-
-def _load_ledger_file(path: str) -> Optional[Dict[str, object]]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    if not isinstance(data, dict) or data.get("schema") != _PROOF_SCHEMA:
-        return None
-    sites = data.get("sites")
-    return sites if isinstance(sites, dict) else None
-
-
-def use_proof_ledger(path: Optional[str]) -> bool:
-    """Arm (or with ``None`` disarm) proof-ledger skipping.
-
-    Returns True when a valid ledger was loaded.  A missing or
-    malformed file disarms skipping — the safe direction: every
-    contract runs."""
-    global _ledger_sites, _ledger_epoch
-    _ledger_epoch += 1
-    _ledger_sites = _load_ledger_file(path) if path else None
-    return _ledger_sites is not None
-
-
-_env_ledger = os.environ.get(_LEDGER_ENV, "").strip()
-if _env_ledger:
-    use_proof_ledger(_env_ledger)
-
-
 def contracts_mode() -> str:
-    """``"off"``, ``"checked"`` or ``"ledger-skip"`` — the label bench
-    snapshots record so runs are only compared like for like."""
-    if not _enabled:
-        return "off"
-    return "ledger-skip" if _ledger_sites is not None else "checked"
-
-
-def _site_skippable(fn, post) -> bool:
-    """Whether the ledger discharges this wrapper's contract for the
-    source that is actually running."""
-    if _ledger_sites is None:
-        return False
-    key = f"{fn.__module__}::{fn.__qualname__}"
-    entry = _ledger_sites.get(key)
-    if not isinstance(entry, dict):
-        return False
-    obligations = entry.get("obligations")
-    if not isinstance(obligations, dict) or not obligations:
-        return False
-    for ob in obligations.values():
-        if not isinstance(ob, dict) or ob.get("status") not in _DISCHARGED:
-            return False
-    # The proof holds for the fingerprinted source only.
-    try:
-        with open(fn.__code__.co_filename, "rb") as fh:
-            sha = hashlib.sha256(fh.read()).hexdigest()
-    except OSError:
-        return False
-    if sha != entry.get("source_sha256"):
-        return False
-    # The post-condition must not reference checks the ledger never
-    # classified (a lambda edited after the ledger was cut).
-    checks = entry.get("checks")
-    if not isinstance(checks, list):
-        return False
-    referenced = {
-        name for name in post.__code__.co_names if name.startswith("check_")
-    }
-    return referenced <= set(checks)
+    """``"off"`` or ``"checked"`` — the label bench snapshots record so
+    runs are only compared like for like."""
+    return "checked" if _enabled else "off"
 
 
 def checked(post: Callable[..., None]):
@@ -185,29 +85,14 @@ def checked(post: Callable[..., None]):
     ``post`` receives ``(result, *args, **kwargs)`` — the return value
     followed by the original call arguments — and raises
     :class:`ContractViolation` on a broken invariant.  With contracts
-    disabled the wrapper is a single boolean test.  With a proof
-    ledger armed (:func:`use_proof_ledger`), a site whose obligations
-    are all statically discharged for the running source skips the
-    check entirely.
+    disabled the wrapper is a single boolean test.
     """
 
     def decorate(fn):
-        # (epoch, decision) memo — the skip test hashes the source
-        # file, so it runs once per ledger load, not once per call.
-        memo = {"epoch": -1, "skip": False}
-
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
             result = fn(*args, **kwargs)
             if _enabled:
-                if _ledger_sites is not None:
-                    if memo["epoch"] != _ledger_epoch:
-                        memo["epoch"] = _ledger_epoch
-                        memo["skip"] = _site_skippable(fn, post)
-                    if memo["skip"]:
-                        CONTRACT_STATS["skipped"] += 1
-                        return result
-                CONTRACT_STATS["checked"] += 1
                 post(result, *args, **kwargs)
             return result
 
@@ -386,14 +271,12 @@ def check_extraction_spans(extractions) -> None:
 
 
 __all__ = [
-    "CONTRACT_STATS",
     "ContractViolation",
     "checked",
     "contracts",
     "contracts_enabled",
     "contracts_mode",
     "enable_contracts",
-    "use_proof_ledger",
     "check_cut_sets_in_whitespace",
     "check_cut_siblings_disjoint",
     "check_extraction_spans",

@@ -46,14 +46,6 @@ class Lattice(Generic[F]):
     def join(self, a: F, b: F) -> F:
         raise NotImplementedError
 
-    def widen(self, old: F, new: F) -> F:
-        """Widening operator: an upper bound of ``old`` and ``new``
-        that forces ascending chains to stabilise.  The finite lattices
-        default to plain join (their chains are already finite);
-        infinite-height domains (intervals) override this to jump
-        still-moving bounds to their extremes."""
-        return self.join(old, new)
-
 
 class UnionLattice(Lattice[FrozenSet]):
     """Powerset lattice with union join — *may* analyses."""
@@ -118,7 +110,6 @@ def solve(
     transfer: Callable[[int, F], F],
     entry_fact: F,
     direction: str = "forward",
-    widen_after: int = 0,
 ) -> Dict[int, F]:
     """Run worklist iteration to a fixpoint; returns the *input* fact
     of every node (the fact holding just before a forward node runs,
@@ -128,11 +119,6 @@ def solve(
     (backward) — the raise exit keeps ``bottom``, so a must-analysis
     (bottom = TOP) deliberately ignores explicit-raise unwinding paths
     rather than blaming them.  Unreachable nodes keep ``bottom``.
-
-    ``widen_after`` > 0 switches a node from join to
-    :meth:`Lattice.widen` once its input fact has changed that many
-    times — required for infinite-height domains (intervals), a no-op
-    for the finite set lattices (widen defaults to join).
     """
     if direction == "forward":
         edges = {node.id: list(node.succs) for node in cfg.nodes}
@@ -163,7 +149,6 @@ def solve(
                 frontier.append(succ)
     worklist = deque(reachable)
     in_worklist = set(reachable)
-    updates: Dict[int, int] = {}
     iterations = 0
     limit = max(4096, 64 * len(cfg.nodes) * len(cfg.nodes))
     while worklist:
@@ -176,11 +161,6 @@ def solve(
         for succ in edges[node_id]:
             joined = lattice.join(in_facts[succ], out_fact)
             if joined != in_facts[succ]:
-                if widen_after and updates.get(succ, 0) >= widen_after:
-                    joined = lattice.widen(in_facts[succ], joined)
-                    if joined == in_facts[succ]:
-                        continue
-                updates[succ] = updates.get(succ, 0) + 1
                 in_facts[succ] = joined
                 if succ not in in_worklist:
                     in_worklist.add(succ)

@@ -364,17 +364,13 @@ def compute_flow(
     resolver: Resolver,
     plain_resolver: Resolver,
     module_state: Set[str],
-    cfg=None,
 ) -> Tuple[FlowSummary, List[Tuple[str, int]]]:
     """Facts for one function; also returns the *typed calls* — call
     edges only the sharpened resolver can see (``x = Ctor(); x.meth()``
     and ``self.attr.meth()``), which the flow passes add to the PR 4
-    call graph.  ``cfg`` lets the caller share one build between this
-    and the value analysis (the warm-cache "0 CFG(s) built" invariant
-    counts every build)."""
+    call graph."""
     flow = FlowSummary()
-    if cfg is None:
-        cfg = build_cfg(func)
+    cfg = build_cfg(func)
     stmt_nodes = cfg.stmt_nodes()
     local_names = _local_names(func)
     declared_global: Set[str] = set()

@@ -23,9 +23,7 @@ frames without any single file looking wrong.  This module builds the
 
 Summaries are plain data (``to_dict``/``from_dict`` round-trip) so the
 content-hash cache (:mod:`repro.analysis.cache`) can persist them and
-a warm run can rebuild the index without re-parsing a single file, and
-so multiprocess builds (``repro check --jobs N``) can ship them across
-process boundaries.
+a warm run can rebuild the index without re-parsing a single file.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.cfg import build_cfg
 from repro.analysis.flow import (
     FlowSummary,
     Resolver,
@@ -44,7 +41,6 @@ from repro.analysis.flow import (
     module_conc_events,
 )
 from repro.analysis.lint.engine import ModuleInfo, NoqaMark
-from repro.analysis.values import ValueSummary, analyze_function
 
 # ----------------------------------------------------------------------
 # Impurity sinks (the determinism pass's seed set)
@@ -142,14 +138,6 @@ class FunctionSummary:
     conc_ambient: bool = False
     #: ``exc: boundary`` pragma — reviewed fault boundary.
     exc_boundary: bool = False
-    #: abstract-interpretation facts (``None`` when the summary is empty).
-    values: Optional["ValueSummary"] = None
-    #: contract check sites: resolved ``check_*`` names from
-    #: ``repro.analysis.contracts`` used in this function (decorator
-    #: lambdas included), with their lines.
-    contracts: List[Tuple[str, int]] = field(default_factory=list)
-    #: ``# proof: assumed`` pragma — unproven obligations are reviewed.
-    proof_assumed: bool = False
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -164,15 +152,11 @@ class FunctionSummary:
             "flow": self.flow.to_dict() if self.flow is not None else None,
             "conc_ambient": self.conc_ambient,
             "exc_boundary": self.exc_boundary,
-            "values": self.values.to_dict() if self.values is not None else None,
-            "contracts": [list(c) for c in self.contracts],
-            "proof_assumed": self.proof_assumed,
         }
 
     @staticmethod
     def from_dict(data: Dict[str, object]) -> "FunctionSummary":
         flow_data = data.get("flow")
-        values_data = data.get("values")
         return FunctionSummary(
             qualname=str(data["qualname"]),
             line=int(data["line"]),  # type: ignore[arg-type]
@@ -187,11 +171,6 @@ class FunctionSummary:
             flow=FlowSummary.from_dict(flow_data) if flow_data else None,  # type: ignore[arg-type]
             conc_ambient=bool(data.get("conc_ambient", False)),
             exc_boundary=bool(data.get("exc_boundary", False)),
-            values=ValueSummary.from_dict(values_data) if values_data else None,  # type: ignore[arg-type]
-            contracts=[
-                (str(n), int(ln)) for n, ln in data.get("contracts", [])  # type: ignore[union-attr]
-            ],
-            proof_assumed=bool(data.get("proof_assumed", False)),
         )
 
 
@@ -583,41 +562,13 @@ def summarize_module(info: ModuleInfo) -> ModuleSummary:
             if isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 record_import(stmt, qualname)
         # Flow layer: CFG-derived facts + type-sharpened call edges,
-        # computed against the complete module symbol table.  The CFG
-        # is built once here and shared with the value analysis so a
-        # warm cache run still reports "0 CFG(s) built".
+        # computed against the complete module symbol table.
         plain = Resolver(aliases, class_name)
         local_types = local_constructor_types(node, plain)
         sharp = Resolver(aliases, class_name, attr_types, local_types)
-        cfg = build_cfg(node)
-        flow, typed = compute_flow(
-            node, sharp, plain, set(summary.defined_names), cfg=cfg
-        )
+        flow, typed = compute_flow(node, sharp, plain, set(summary.defined_names))
         fn.typed_calls = typed
         fn.flow = flow if not flow.empty() else None
-        # Value layer: interval/shape facts and definite bound hazards.
-        values = analyze_function(node, sharp, cfg=cfg)
-        fn.values = values if not values.empty() else None
-        # Contract sites: ``check_*`` names that resolve through the
-        # import aliases into repro.analysis.contracts — both ``@checked``
-        # decorator lambdas and inline guarded calls.  Bare in-module
-        # names are excluded, so contracts.py itself contributes none.
-        sites: List[Tuple[str, int]] = []
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name) and sub.id.startswith("check_"):
-                dotted = aliases.get(sub.id)
-                if dotted and dotted.rsplit(".", 1)[0].endswith(
-                    "analysis.contracts"
-                ):
-                    sites.append((sub.id, sub.lineno))
-        fn.contracts = sorted(set(sites))
-        first_line = min(
-            [node.lineno] + [d.lineno for d in node.decorator_list]
-        )
-        fn.proof_assumed = any(
-            ln in info.proof_assumed_lines
-            for ln in range(first_line, node.lineno + 1)
-        )
         summary.functions[qualname] = fn
 
     def walk_body(

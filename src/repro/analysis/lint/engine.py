@@ -68,10 +68,6 @@ _CONC_AMBIENT_RE = re.compile(r"#\s*conc:\s*ambient\b")
 #: Trailing ``exc: boundary`` — reviewed fault boundary on a ``def``.
 _EXC_BOUNDARY_RE = re.compile(r"#\s*exc:\s*boundary\b")
 
-#: Trailing ``proof: assumed`` — a contract site whose unproven
-#: obligations were reviewed by hand (the proof ledger records ASSUMED).
-_PROOF_ASSUMED_RE = re.compile(r"#\s*proof:\s*assumed\b")
-
 #: Directory names pruned from discovery.  ``fixtures`` holds test
 #: inputs with *intentional* violations (tests copy them to a tmp dir
 #: before linting them on purpose).
@@ -202,14 +198,6 @@ class ModuleInfo:
             i
             for i, line in enumerate(self.lines, start=1)
             if _EXC_BOUNDARY_RE.search(line) and not line.strip().startswith("#")
-        }
-        #: lines with a trailing ``proof: assumed`` pragma — the proof
-        #: layer treats this contract site's UNPROVEN obligations as
-        #: reviewed (ASSUMED in the ledger; VIOLATED is never masked).
-        self.proof_assumed_lines: Set[int] = {
-            i
-            for i, line in enumerate(self.lines, start=1)
-            if _PROOF_ASSUMED_RE.search(line) and not line.strip().startswith("#")
         }
         #: alias -> fully qualified module/name, e.g. ``np`` ->
         #: ``numpy``, ``default_rng`` -> ``numpy.random.default_rng``.

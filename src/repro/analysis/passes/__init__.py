@@ -2,7 +2,7 @@
 
 Where a module-scope rule (:mod:`repro.analysis.lint.rules`) sees one
 file, a *pass* sees the whole program: the import graph, the call
-graph, and every module's summary at once.  Ten pass families ship:
+graph, and every module's summary at once.  Eight pass families ship:
 
 * :mod:`~repro.analysis.passes.determinism` — ``DET1xx``: impurity
   propagated over the call graph from the pipeline's deterministic
@@ -24,18 +24,12 @@ graph, and every module's summary at once.  Ten pass families ship:
 * :mod:`~repro.analysis.passes.exceptions` — ``EXC1xx``: typed faults
   escaping the isolation-site registry, silent swallow paths;
 * :mod:`~repro.analysis.passes.resources` — ``RSRC1xx``: acquire/
-  release path proofs for pools, handles and checkpoint logs;
-* :mod:`~repro.analysis.passes.bounds` — ``BND1xx``: definite
-  out-of-bounds / negative-extent hazards from the abstract
-  interpreter (:mod:`repro.analysis.values`);
-* :mod:`~repro.analysis.passes.proofs` — ``PROOF1xx``: contract
-  post-conditions the value analysis proves violated, with the
-  interprocedural witness chain.
+  release path proofs for pools, handles and checkpoint logs.
 
 The CONC/EXC/RSRC trio is *flow-sensitive*: they consume the
 per-function CFG facts (:mod:`repro.analysis.flow`) the index computes
-and caches; BND/PROOF consume the cached value summaries the same way.
-A warm run re-runs all of them without rebuilding a single CFG.
+and caches.  A warm run re-runs all of them without rebuilding a single
+CFG.
 
 A pass declares the rule IDs it can emit (with docs for ``--explain``)
 and implements ``run(index, trees)``; ``trees`` lends out parsed
@@ -111,14 +105,12 @@ def register_pass(cls):
 def load_catalogue() -> Dict[str, Pass]:
     """Import every pass module (registering the catalogue) and return it."""
     from repro.analysis.passes import (  # noqa: F401
-        bounds,
         concurrency,
         determinism,
         exceptions,
         exports,
         frames,
         obs,
-        proofs,
         resources,
         schema,
     )

@@ -5,10 +5,8 @@ One :func:`check_project` call does the whole job:
 1. **Discover** every ``*.py`` under the given paths.
 2. **Per-file work** — parse, run the module-scope rules, distill a
    :class:`~repro.analysis.index.ModuleSummary`.  This is the only
-   expensive part, so it is the unit of both caching (content-hash
-   keyed, see :mod:`repro.analysis.cache`) and parallelism
-   (``jobs > 1`` fans files out over a process pool; summaries and
-   violations are plain data, so they cross the boundary for free).
+   expensive part, so it is the unit of caching (content-hash keyed,
+   see :mod:`repro.analysis.cache`).
 3. **Index** the summaries into a :class:`ProjectIndex` and run the
    interprocedural passes (:mod:`repro.analysis.passes`) over it.
    Pass findings are never cached — they depend on the whole program.
@@ -30,13 +28,11 @@ graph (``repro check --graph``).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import cfg as _cfg
-from repro.analysis import values as _values
 from repro.analysis.cache import ResultCache, content_hash, engine_fingerprint
 from repro.analysis.index import ModuleSummary, ProjectIndex, summarize_module
 from repro.analysis.lint import rules as _rules  # noqa: F401  (registers the catalogue)
@@ -73,57 +69,17 @@ def _display(path: Path, root: Path) -> str:
         return path.as_posix()
 
 
-def _analyze_source(
-    args: Tuple[str, str, str, Optional[List[str]]],
-) -> Dict[str, object]:
-    """Per-file unit of work (top-level so process pools can import it).
-
-    Returns plain dicts only — this crosses process boundaries.
-    """
-    path_str, display, source, rule_ids = args
-    try:
-        info = ModuleInfo(Path(path_str), source, display)
-    except SyntaxError as exc:
-        return {
-            "display": display,
-            "error": Violation(
-                path=display,
-                line=exc.lineno or 1,
-                col=(exc.offset or 0) + 1,
-                rule=PARSE_RULE,
-                message=f"file does not parse: {exc.msg}",
-            ).to_dict(),
-        }
-    active = [
-        rule
-        for rule_id, rule in ALL_RULES.items()
-        if rule_ids is None or rule_id in rule_ids
-    ]
-    violations = run_module_rules(info, active)
-    before = _cfg.BUILD_COUNT
-    values_before = _values.BUILD_COUNT
-    summary = summarize_module(info)
-    return {
-        "display": display,
-        "summary": summary.to_dict(),
-        "violations": [v.to_dict() for v in violations],
-        "cfgs": _cfg.BUILD_COUNT - before,
-        "values": _values.BUILD_COUNT - values_before,
-    }
-
-
 def check_project(
     paths: Sequence[Path],
     rule_ids: Optional[Sequence[str]] = None,
     root: Optional[Path] = None,
-    jobs: int = 1,
     cache_path: Optional[Path] = None,
 ) -> CheckResult:
     """Run the full analysis (module rules + passes) over ``paths``.
 
     ``rule_ids`` restricts the combined catalogue (module rules and
-    pass rules alike); ``jobs > 1`` parallelises the per-file stage;
-    ``cache_path`` enables the content-hash result cache.
+    pass rules alike); ``cache_path`` enables the content-hash result
+    cache.
     """
     root = Path(root) if root is not None else Path.cwd()
     active_ids = None if rule_ids is None else set(rule_ids)
@@ -145,111 +101,72 @@ def check_project(
     cache = ResultCache(cache_path) if cache_path is not None else None
 
     # ------------------------------------------------------------------
-    # Discovery + cache probe.
+    # Discovery.
     # ------------------------------------------------------------------
-    files: List[Tuple[Path, str, str]] = []  # (path, display, source)
+    files: List[Tuple[Path, str]] = []  # (path, display)
     seen_paths = set()
     for path in iter_python_files(paths):
         resolved = path.resolve()
         if resolved in seen_paths:
             continue
         seen_paths.add(resolved)
-        files.append((path, _display(path, root), ""))
-
-    violations: List[Violation] = []
-    summaries: List[ModuleSummary] = []
-    parsed_infos: Dict[str, ModuleInfo] = {}
-    display_to_path: Dict[str, Path] = {d: p for p, d, _ in files}
-    misses: List[Tuple[str, str, str, Optional[List[str]]]] = []
-
-    miss_shas: Dict[str, str] = {}
-    for path, display, _ in files:
-        data = path.read_bytes()
-        sha = content_hash(data)
-        if cache is not None:
-            hit = cache.get(display, sha, fingerprint)
-            if hit is not None:
-                summary, cached_violations = hit
-                summaries.append(summary)
-                violations.extend(cached_violations)
-                continue
-        miss_shas[display] = sha
-        misses.append(
-            (
-                str(path),
-                display,
-                data.decode("utf-8", errors="replace"),
-                sorted(active_ids) if active_ids is not None else None,
-            )
-        )
+        files.append((path, _display(path, root)))
 
     # ------------------------------------------------------------------
-    # Per-file stage: serial or fanned out over a process pool.
+    # Per-file stage: cache hit, or parse + module rules + summary.  The
+    # parsed trees stay in memory and are lent to the passes.
     # ------------------------------------------------------------------
     active_rules = [
         rule
         for rule_id, rule in ALL_RULES.items()
         if active_ids is None or rule_id in active_ids
     ]
+    violations: List[Violation] = []
+    summaries: List[ModuleSummary] = []
+    parsed_infos: Dict[str, ModuleInfo] = {}
     metrics = PipelineMetrics()
-    cfgs_built = 0
-    values_built = 0
-    results: List[Dict[str, object]] = []
+    parsed = 0
+    cfg_base = _cfg.BUILD_COUNT
     with metrics.stage("check.files"):
-        if jobs > 1 and len(misses) > 1:
-            # Summaries and violations are plain data; they come back over
-            # the pipe, and the passes re-parse the few trees they need.
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_analyze_source, misses))
-        else:
-            # Serial runs keep the parsed trees and lend them to the passes.
-            cfg_base = _cfg.BUILD_COUNT
-            values_base = _values.BUILD_COUNT
-            for path_str, display, source, _ in misses:
-                try:
-                    info = ModuleInfo(Path(path_str), source, display)
-                except SyntaxError as exc:
-                    violations.append(
-                        Violation(
-                            path=display,
-                            line=exc.lineno or 1,
-                            col=(exc.offset or 0) + 1,
-                            rule=PARSE_RULE,
-                            message=f"file does not parse: {exc.msg}",
-                        )
-                    )
-                    continue
-                parsed_infos[display] = info
-                file_violations = run_module_rules(info, active_rules)
-                summary = summarize_module(info)
+        for path, display in files:
+            data = path.read_bytes()
+            sha = content_hash(data)
+            hit = cache.get(display, sha, fingerprint) if cache is not None else None
+            if hit is not None:
+                summary, cached_violations = hit
                 summaries.append(summary)
-                violations.extend(file_violations)
-                if cache is not None:
-                    cache.put(
-                        display, miss_shas[display], fingerprint, summary, file_violations
-                    )
-            cfgs_built += _cfg.BUILD_COUNT - cfg_base
-            values_built += _values.BUILD_COUNT - values_base
-
-        for item in results:
-            display = str(item["display"])
-            if "error" in item:
-                violations.append(Violation.from_dict(item["error"]))  # type: ignore[arg-type]
+                violations.extend(cached_violations)
                 continue
-            summary = ModuleSummary.from_dict(item["summary"])  # type: ignore[arg-type]
-            file_violations = [Violation.from_dict(v) for v in item["violations"]]  # type: ignore[union-attr]
+            parsed += 1
+            try:
+                info = ModuleInfo(path, data.decode("utf-8", errors="replace"), display)
+            except SyntaxError as exc:
+                violations.append(
+                    Violation(
+                        path=display,
+                        line=exc.lineno or 1,
+                        col=(exc.offset or 0) + 1,
+                        rule=PARSE_RULE,
+                        message=f"file does not parse: {exc.msg}",
+                    )
+                )
+                continue
+            parsed_infos[display] = info
+            file_violations = run_module_rules(info, active_rules)
+            summary = summarize_module(info)
             summaries.append(summary)
             violations.extend(file_violations)
-            cfgs_built += int(item.get("cfgs", 0))  # type: ignore[arg-type]
-            values_built += int(item.get("values", 0))  # type: ignore[arg-type]
             if cache is not None:
-                cache.put(display, miss_shas[display], fingerprint, summary, file_violations)
+                cache.put(display, sha, fingerprint, summary, file_violations)
+    cfgs_built = _cfg.BUILD_COUNT - cfg_base
 
     # ------------------------------------------------------------------
     # Whole-program stage.
     # ------------------------------------------------------------------
     with metrics.stage("check.index"):
         index = ProjectIndex(summaries)
+
+    display_to_path = {d: p for p, d in files}
 
     def _load_tree(display: str) -> Optional[ModuleInfo]:
         path = display_to_path.get(display)
@@ -306,15 +223,11 @@ def check_project(
 
     stats = {
         "files": len(files),
-        "parsed": len(misses),
-        "cached": len(files) - len(misses),
+        "parsed": parsed,
+        "cached": len(files) - parsed,
         "cache_hits": cache.hits if cache is not None else 0,
         "cache_misses": cache.misses if cache is not None else 0,
         "cfgs": cfgs_built,
-        # A warm cache serves every ValueSummary from disk: CI asserts
-        # this is 0 alongside the zero-CFG invariant.
-        "value_summaries": values_built,
-        "values_cached": len(files) - len(misses),
     }
     return CheckResult(
         violations=sorted(violations), index=index, stats=stats, metrics=metrics

@@ -27,7 +27,7 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
 
 
 @checked(post=lambda front, points: check_pareto_front(points, front))
-def pareto_front(points: Sequence[Sequence[float]]) -> List[int]:  # proof: assumed
+def pareto_front(points: Sequence[Sequence[float]]) -> List[int]:
     """Indices of the first-order (non-dominated) front.
 
     O(n² · d); the block counts VS2 feeds in are tens, not thousands.

@@ -76,12 +76,12 @@ def delta_line(
     shows as ``(not measured)`` and a stage absent from the committed
     baseline shows as ``new``.
 
-    ``mode`` is the live run's contract mode (``off`` / ``checked`` /
-    ``ledger-skip``, see :func:`repro.analysis.contracts.
-    contracts_mode`).  When it differs from the baseline's recorded
-    ``contracts`` meta the line is prefixed with a not-comparable
-    label: a ledger-skip run beating a contract-checked baseline is
-    the proof layer working, not the pipeline speeding up.
+    ``mode`` is the live run's contract mode (``off`` or ``checked``,
+    see :func:`repro.analysis.contracts.contracts_mode`).  When it
+    differs from the baseline's recorded ``contracts`` meta the line is
+    prefixed with a not-comparable label: an ``off`` run beating a
+    contract-checked baseline is the checks no longer running, not the
+    pipeline speeding up.
     """
     prefix = "vs committed baseline: "
     if mode is not None:

@@ -19,7 +19,10 @@ Endpoints
     Body ``{"index": int, "deadline_s"?: float, "request_id"?: str}``
     — extract from the warm corpus document at ``index``.  Resolves as
     200 (extractions + degradations), 429 + ``Retry-After`` (shed), or
-    504 (deadline).
+    504 (deadline).  A malformed body is a 400, a ``request_id`` that
+    is already in flight a 409, and a body over
+    :data:`MAX_BODY_BYTES` a 413 — all answered before admission, so
+    the service's accounting never sees them.
 ``GET /metrics``
     Prometheus text exposition of the server's metric registry.
 
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import signal
 import time
 from typing import Any, Dict, List, Optional, Tuple
@@ -53,7 +57,54 @@ from repro.serve.service import ExtractionService, ServeResponse
 #: service resolves the ticket authoritatively either way.
 _HANDLER_GRACE_S = 10.0
 
-_REASONS = {200: "OK", 429: "Too Many Requests", 503: "Service Unavailable", 504: "Gateway Timeout"}
+#: Largest request body the server reads.  A longer ``Content-Length``
+#: is answered 413 without reading the body.
+MAX_BODY_BYTES = 64 * 1024
+
+_REASONS = {
+    200: "OK", 400: "Bad Request", 404: "Not Found", 409: "Conflict",
+    413: "Payload Too Large", 429: "Too Many Requests",
+    503: "Service Unavailable", 504: "Gateway Timeout",
+}
+
+
+class RequestRejected(Exception):
+    """A request answered with a 4xx before it reaches the service."""
+
+    def __init__(self, status: int, error: str):
+        super().__init__(error)
+        self.status = status
+
+
+def parse_extract_body(body: bytes) -> Tuple[int, Optional[str], Optional[float]]:
+    """``(index, request_id, deadline_s)`` from a ``POST /extract`` body.
+
+    Raises :class:`RequestRejected` (400) unless the body is a JSON
+    object whose ``index`` is an integer, whose ``deadline_s`` (if
+    present) is a finite number > 0 and whose ``request_id`` (if
+    present) is a string.  An empty ``request_id`` counts as absent.
+    """
+    try:
+        request = json.loads(body.decode("utf-8")) if body else {}
+    except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
+        raise RequestRejected(400, "body must be a JSON object") from None
+    if not isinstance(request, dict):
+        raise RequestRejected(400, "body must be a JSON object")
+    index = request.get("index")
+    if not isinstance(index, int) or isinstance(index, bool):
+        raise RequestRejected(400, "'index' must be an integer")
+    deadline_s = request.get("deadline_s")
+    if deadline_s is not None and not (
+        isinstance(deadline_s, (int, float))
+        and not isinstance(deadline_s, bool)
+        and math.isfinite(deadline_s)
+        and deadline_s > 0
+    ):
+        raise RequestRejected(400, "'deadline_s' must be a finite number > 0")
+    request_id = request.get("request_id")
+    if request_id is not None and not isinstance(request_id, str):
+        raise RequestRejected(400, "'request_id' must be a string")
+    return index, request_id or None, None if deadline_s is None else float(deadline_s)
 
 
 class ServeHTTP:
@@ -66,6 +117,7 @@ class ServeHTTP:
         self._server: Optional[asyncio.base_events.Server] = None
         self._dispatcher: Optional[asyncio.Task] = None
         self._futures: Dict[str, asyncio.Future] = {}
+        self._assigned_ids = 0
         self._wake: Optional[asyncio.Event] = None
 
     # ------------------------------------------------------------------
@@ -135,12 +187,15 @@ class ServeHTTP:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            parsed = await self._read_request(reader)
-            if parsed is None:
-                return
-            method, path, body = parsed
-            status, headers, payload = await self._route(method, path, body)
-            await self._write_response(writer, status, headers, payload)
+            try:
+                parsed = await self._read_request(reader)
+            except RequestRejected as exc:
+                reply = self._json(exc.status, {"error": str(exc)})
+            else:
+                if parsed is None:
+                    return
+                reply = await self._route(*parsed)
+            await self._write_response(writer, *reply)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away; the service accounting is unaffected
         finally:
@@ -153,6 +208,10 @@ class ServeHTTP:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, bytes]]:
+        """``(method, path, body)``, or ``None`` when there is no request
+        line to answer.  A ``Content-Length`` that is not a non-negative
+        integer raises :class:`RequestRejected` (400); one above
+        :data:`MAX_BODY_BYTES` raises it (413) before the body is read."""
         try:
             head = await reader.readuntil(b"\r\n\r\n")
         except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
@@ -169,7 +228,11 @@ class ServeHTTP:
                 try:
                     length = int(value.strip())
                 except ValueError:
-                    return None
+                    length = -1
+                if length < 0:
+                    raise RequestRejected(400, "Content-Length must be a non-negative integer")
+                if length > MAX_BODY_BYTES:
+                    raise RequestRejected(413, f"body over {MAX_BODY_BYTES} bytes")
         body = await reader.readexactly(length) if length else b""
         return method, path, body
 
@@ -216,17 +279,20 @@ class ServeHTTP:
 
     async def _extract(self, body: bytes) -> Tuple[int, Dict[str, str], bytes]:
         try:
-            request = json.loads(body.decode("utf-8")) if body else {}
-            index = int(request["index"])
-        except (ValueError, KeyError, UnicodeDecodeError):
-            return self._json(400, {"error": "body must be JSON with an integer 'index'"})
-        deadline_s = request.get("deadline_s")
+            index, request_id, deadline_s = parse_extract_body(body)
+        except RequestRejected as exc:
+            return self._json(exc.status, {"error": str(exc)})
+        # Responses find their waiting handler by request id, so two
+        # in-flight requests must never share one.
+        if request_id is None:
+            request_id = self._unused_request_id()
+        elif request_id in self._futures:
+            return self._json(
+                409, {"error": f"request_id {request_id!r} is already in flight"}
+            )
         now = time.monotonic()
         ticket, response = self.service.admit(
-            index,
-            now=now,
-            request_id=request.get("request_id"),
-            deadline_s=None if deadline_s is None else float(deadline_s),
+            index, now=now, request_id=request_id, deadline_s=deadline_s
         )
         if response is None:
             assert ticket is not None
@@ -242,12 +308,23 @@ class ServeHTTP:
                 # Defensive: the dispatcher answers every ticket, but a
                 # slot is never allowed to hang past its budget.  The
                 # accounting entry lands when the service resolves the
-                # ticket; this socket just stops waiting for it.
-                self._futures.pop(ticket.request_id, None)
+                # ticket; this socket just stops waiting for it.  The
+                # (now cancelled) future stays registered until then,
+                # so the id counts as in flight and a retry under it
+                # cannot receive this ticket's late answer.
                 return self._json(
                     504, {"request_id": ticket.request_id, "status": 504, "where": "handler"}
                 )
         return self._response_to_http(response)
+
+    def _unused_request_id(self) -> str:
+        """A server-assigned id that no in-flight request holds (a client
+        may have picked one of this form for itself)."""
+        while True:
+            self._assigned_ids += 1
+            request_id = f"req-{self._assigned_ids:06d}"
+            if request_id not in self._futures:
+                return request_id
 
     def _response_to_http(self, response: ServeResponse) -> Tuple[int, Dict[str, str], bytes]:
         headers = {"Content-Type": "application/json"}

@@ -89,7 +89,7 @@ def _table(title: str, headers: List[str], rows: List[List[Any]]) -> str:
     return "\n".join(lines)
 
 
-def cut_ledger(roots: Sequence[Span]) -> str:
+def cut_table(roots: Sequence[Span]) -> str:
     """Algorithm 1's verdict on every candidate cut set."""
     rows = []
     for path, event in collect_events(roots, "cut.decision"):
@@ -235,7 +235,7 @@ def explain_report(
         f"decision events: {len(collect_events(roots))}  "
         f"ocr cache: {hits} hit(s) / {len(cache_events) - hits} miss(es)",
         "",
-        cut_ledger(roots),
+        cut_table(roots),
         "",
         merge_ledger(roots),
         "",

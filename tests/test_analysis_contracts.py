@@ -7,6 +7,10 @@ pass under plain pytest because they toggle contracts through the API.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.analysis.contracts import (
@@ -19,6 +23,7 @@ from repro.analysis.contracts import (
     checked,
     contracts,
     contracts_enabled,
+    contracts_mode,
     enable_contracts,
 )
 from repro.core.delimiters import identify_visual_delimiters
@@ -84,6 +89,26 @@ class TestCheckedDecorator:
             assert not contracts_enabled()
         finally:
             enable_contracts(before)
+
+    def test_contracts_mode_is_off_or_checked(self):
+        with contracts(False):
+            assert contracts_mode() == "off"
+        with contracts(True):
+            assert contracts_mode() == "checked"
+
+    def test_importing_the_pipeline_does_not_load_the_linter(self):
+        """The pipeline imports this module on every run; that must not
+        drag the static analyser in with it."""
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        probe = (
+            "import sys, repro.core.pipeline; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.analysis.lint')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[]"
 
 
 # ----------------------------------------------------------------------

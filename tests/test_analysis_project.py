@@ -3,9 +3,9 @@
 Covers the index's summaries and resolution (imports with scopes, the
 approximate call graph, re-export chains, importer liveness), the
 content-hash cache (warm-run speedup, per-file invalidation, fingerprint
-busting, corruption tolerance), multiprocess parity (``--jobs 2`` equals
-serial output byte for byte) and the new ``repro check`` CLI surface
-(--explain, --graph, --rekey, --cache, --stats).
+busting, corruption tolerance), whole-run findings (module rules and
+passes together) and the ``repro check`` CLI surface (--explain,
+--graph, --rekey, --cache, --stats).
 """
 
 from __future__ import annotations
@@ -274,19 +274,9 @@ class TestResultCache:
         cache = tmp_path / "cache.json"
         cold = check_project([tree], root=tmp_path, cache_path=cache)
         assert cold.stats["cfgs"] > 0
-        assert cold.stats["value_summaries"] > 0
         warm = check_project([tree], root=tmp_path, cache_path=cache)
         assert warm.stats["cfgs"] == 0
-        assert warm.stats["value_summaries"] == 0
-        assert warm.stats["values_cached"] == warm.stats["cached"]
         assert warm.violations == cold.violations
-
-    def test_parallel_run_counts_cfgs_from_workers(self, tmp_path):
-        tree = write_tree(tmp_path, n=6)
-        serial = check_project([tree], root=tmp_path, jobs=1)
-        parallel = check_project([tree], root=tmp_path, jobs=2)
-        assert parallel.stats["cfgs"] == serial.stats["cfgs"] > 0
-        assert parallel.stats["value_summaries"] == serial.stats["value_summaries"] > 0
 
     @pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
     def test_concurrent_saves_never_corrupt_the_cache(self, tmp_path):
@@ -315,17 +305,15 @@ class TestResultCache:
         assert warm.stats["cached"] == 12 and warm.stats["cfgs"] == 0
 
 
-class TestParallelParity:
-    def test_jobs_two_matches_serial_output(self, tmp_path):
+class TestCheckProjectFindings:
+    def test_module_rule_findings_on_a_dirty_tree(self, tmp_path):
         tree = write_tree(tmp_path, n=8)
         (tree / "dirty_a.py").write_text("import random\nV = random.random()\n")
         (tree / "dirty_b.py").write_text("def f(xs=[]):\n    return xs\n")
-        serial = check_project([tree], root=tmp_path, jobs=1)
-        parallel = check_project([tree], root=tmp_path, jobs=2)
-        assert serial.violations == parallel.violations
-        assert [v.rule for v in serial.violations] == ["DET001", "MUT001"]
+        result = check_project([tree], root=tmp_path)
+        assert [v.rule for v in result.violations] == ["DET001", "MUT001"]
 
-    def test_jobs_two_runs_passes_identically(self, tmp_path):
+    def test_pass_findings_on_a_copied_fixture(self, tmp_path):
         import shutil
 
         fixture = (
@@ -333,10 +321,8 @@ class TestParallelParity:
         )
         tree = tmp_path / "fx"
         shutil.copytree(fixture, tree)
-        serial = check_project([tree], root=tree, jobs=1)
-        parallel = check_project([tree], root=tree, jobs=2)
-        assert serial.violations == parallel.violations
-        assert [v.rule for v in parallel.violations] == ["DET101"]
+        result = check_project([tree], root=tree)
+        assert [v.rule for v in result.violations] == ["DET101"]
 
 
 class TestCli:
@@ -356,9 +342,8 @@ class TestCli:
 
     def test_explain_covers_every_registered_rule(self, capsys):
         """Exhaustiveness gate: every rule the engine can emit — the
-        per-file catalogue, every pass family (incl. PROOF1xx/BND1xx),
-        and the parse sentinel — must explain itself with a worked
-        example and a fix."""
+        per-file catalogue, every pass family, and the parse sentinel —
+        must explain itself with a worked example and a fix."""
         from repro.analysis.lint import ALL_RULES
         from repro.analysis.passes import load_catalogue
         from repro.analysis.runner import PARSE_RULE
@@ -367,7 +352,6 @@ class TestCli:
         for pass_obj in load_catalogue().values():
             rule_ids.update(pass_obj.rules)
         rule_ids.add(PARSE_RULE)
-        assert {"PROOF101", "BND101", "BND102", "BND103"} <= rule_ids
         for rule_id in sorted(rule_ids):
             assert repro_main(["check", "--explain", rule_id]) == 0, rule_id
             out = capsys.readouterr().out
@@ -415,13 +399,11 @@ class TestCli:
         ) == 0
         cold = capsys.readouterr().err
         assert "1 CFG(s) built" in cold
-        assert "1 value summaries built (0 from cache)" in cold
         assert repro_main(
             ["check", str(tmp_path), "--cache", str(cache), "--stats"]
         ) == 0
         warm = capsys.readouterr().err
         assert "0 CFG(s) built" in warm
-        assert "0 value summaries built (1 from cache)" in warm
 
     def test_timings_flag_prints_stage_table(self, tmp_path, capsys):
         (tmp_path / "mod.py").write_text("def f(x):\n    return x\n")
@@ -430,12 +412,6 @@ class TestCli:
         assert "repro check timings" in err
         assert "check.files" in err and "check.index" in err
         assert "check.pass.concurrency" in err
-
-    def test_jobs_flag(self, tmp_path, capsys):
-        (tmp_path / "a.py").write_text("x = 1\n")
-        (tmp_path / "b.py").write_text("y = 2\n")
-        assert repro_main(["check", str(tmp_path), "--jobs", "2"]) == 0
-        assert "clean" in capsys.readouterr().out
 
 
 class TestRekey:

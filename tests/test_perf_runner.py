@@ -572,19 +572,19 @@ class TestSnapshots:
         assert "p95 +" in line
 
     def test_delta_line_labels_contract_mode_mismatch(self, tmp_path):
-        """A ledger-skip run diffed against a contract-checked baseline
-        is the proof layer working, not the pipeline speeding up — the
-        line must say so instead of letting the delta mislead."""
+        """A contracts-off run diffed against a contract-checked baseline
+        is the checks no longer running, not the pipeline speeding up —
+        the line must say so instead of letting the delta mislead."""
         base, curr = PipelineMetrics(), PipelineMetrics()
         base.record("select", 1.0)
         curr.record("select", 0.5)
         snap = load_snapshot(
             write_snapshot(tmp_path / "base.json", base, contracts="checked")
         )
-        line = delta_line(snap, curr, mode="ledger-skip")
+        line = delta_line(snap, curr, mode="off")
         assert line.startswith(
             "vs committed baseline [NOT COMPARABLE: baseline contracts=checked, "
-            "this run contracts=ledger-skip]: "
+            "this run contracts=off]: "
         )
         # Matching modes (or no mode given) keep the plain prefix; a
         # baseline without the meta key counts as contracts-off.

@@ -15,6 +15,7 @@ Three layers:
 
 from __future__ import annotations
 
+import asyncio
 import json
 import multiprocessing
 import os
@@ -41,6 +42,12 @@ from repro.serve import (
 )
 from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.serve.config import BreakerConfig
+from repro.serve.http import (
+    MAX_BODY_BYTES,
+    RequestRejected,
+    ServeHTTP,
+    parse_extract_body,
+)
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -445,6 +452,129 @@ class TestServeCLI:
         from repro.__main__ import main
 
         assert main(["report", "--serve", "/nonexistent/bench.json"]) == 2
+
+
+# ----------------------------------------------------------------------
+# HTTP request handling without sockets
+# ----------------------------------------------------------------------
+def _raw_request(body: bytes, length=None) -> bytes:
+    length = len(body) if length is None else length
+    head = f"POST /extract HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+    return head.encode("latin-1") + body
+
+
+async def _answer(http: ServeHTTP, raw: bytes) -> int:
+    """Status the server gives one raw request: ``_read_request`` on an
+    in-memory stream, then ``_extract`` on the body it read."""
+    reader = asyncio.StreamReader()
+    reader.feed_data(raw)
+    reader.feed_eof()
+    try:
+        _, _, body = await http._read_request(reader)
+    except RequestRejected as exc:
+        return exc.status
+    status, _, _ = await http._extract(body)
+    return status
+
+
+class TestServeHTTPRequests:
+    @pytest.mark.parametrize(
+        "raw, status",
+        [
+            pytest.param(_raw_request(b"[1]"), 400, id="array"),
+            pytest.param(_raw_request(b'"x"'), 400, id="string"),
+            pytest.param(_raw_request(b'{"index": null}'), 400, id="index-null"),
+            pytest.param(_raw_request(b'{"index": [0]}'), 400, id="index-list"),
+            pytest.param(_raw_request(b'{"index": true}'), 400, id="index-bool"),
+            pytest.param(
+                _raw_request(b'{"index": 0, "deadline_s": "soon"}'), 400, id="deadline-str"
+            ),
+            pytest.param(_raw_request(b'{"index": 0, "deadline_s": 0}'), 400, id="deadline-0"),
+            pytest.param(
+                _raw_request(b'{"index": 0, "deadline_s": Infinity}'), 400, id="deadline-inf"
+            ),
+            pytest.param(
+                _raw_request(b'{"index": 0, "request_id": ["a"]}'), 400, id="request-id-list"
+            ),
+            pytest.param(_raw_request(b"[" * 50_000), 400, id="deep-nesting"),
+            pytest.param(_raw_request(b"\xff"), 400, id="not-utf8"),
+            pytest.param(_raw_request(b"", length=-1), 400, id="length-negative"),
+            pytest.param(_raw_request(b"", length="ten"), 400, id="length-not-int"),
+            # Over the cap: answered without reading (there is no body
+            # to read, so reading it would raise instead).
+            pytest.param(_raw_request(b"", length=MAX_BODY_BYTES + 1), 413, id="length-over-cap"),
+        ],
+    )
+    def test_malformed_request_is_4xx_before_admission(self, raw, status):
+        service = _service()
+        assert asyncio.run(_answer(ServeHTTP(service), raw)) == status
+        assert service.accounting == {"submitted": 0, "ok": 0, "shed": 0, "timeout": 0}
+        assert service.pending() == 0
+
+    def test_benchmark_and_loadgen_bodies_stay_valid(self):
+        assert parse_extract_body(b'{"index": 3, "request_id": "s0-00001"}') == (
+            3, "s0-00001", None
+        )
+        assert parse_extract_body(b'{"index": 3, "deadline_s": 4.0}') == (3, None, 4.0)
+
+    def test_duplicate_in_flight_request_id_is_409(self):
+        """Responses are matched to handlers by request id: a second
+        request under an id already in flight is refused before
+        admission instead of receiving the first one's answer, and a
+        request without an id is never assigned one a client holds."""
+        service = _service().boot()
+        http = ServeHTTP(service)
+        # The form the server assigns itself to requests without an id.
+        taken = b'"request_id": "req-000001"'
+
+        async def scenario():
+            http._wake = asyncio.Event()
+            first = asyncio.create_task(http._extract(b'{"index": 0, ' + taken + b"}"))
+            await asyncio.sleep(0)
+            assert service.pending() == 1
+            before = dict(service.accounting)
+            second = asyncio.create_task(http._extract(b'{"index": 1, ' + taken + b"}"))
+            await asyncio.sleep(0)
+            assert second.done(), "the duplicate id was admitted"
+            assert second.result()[0] == 409
+            assert service.accounting == before and service.pending() == 1
+            third = asyncio.create_task(http._extract(b'{"index": 1}'))
+            await asyncio.sleep(0)
+            assert service.pending() == 2
+            batch, _ = service.take_batch(time.monotonic())
+            outcome = service.run_batch(batch)
+            http._publish(service.resolve(batch, outcome, time.monotonic()))
+            answers = [json.loads((await task)[2]) for task in (first, third)]
+            assert [(a["status"], a["doc_index"]) for a in answers] == [(200, 0), (200, 1)]
+            assert answers[0]["request_id"] != answers[1]["request_id"]
+
+        try:
+            asyncio.run(scenario())
+        finally:
+            service.shutdown()
+
+    def test_timed_out_handler_keeps_its_id_until_resolved(self, monkeypatch):
+        """A handler that stops waiting leaves its ticket in the service;
+        the id stays taken until that ticket resolves, so a retry under
+        it never picks up the stale answer."""
+        import repro.serve.http as http_mod
+
+        monkeypatch.setattr(http_mod, "_HANDLER_GRACE_S", 0.0)
+        service = _service()
+        http = ServeHTTP(service)
+        body = b'{"index": 0, "request_id": "late", "deadline_s": 0.01}'
+
+        async def scenario():
+            http._wake = asyncio.Event()
+            status, _, payload = await http._extract(body)
+            assert status == 504 and json.loads(payload)["where"] == "handler"
+            assert (await http._extract(body))[0] == 409
+            _, expired = service.take_batch(time.monotonic())
+            http._publish(expired)
+            assert "late" not in http._futures
+
+        asyncio.run(scenario())
+        assert service.accounting["timeout"] == 1 and service.pending() == 0
 
 
 # ----------------------------------------------------------------------
