@@ -16,17 +16,27 @@ the paper's footnote:
     θ_h = θ_min + (θ_max − θ_min) / 10 · h,     h = layout-tree height
 
 so deeper (finer) trees demand more evidence before merging.
+
+Eq. 1 is evaluated a tree level at a time: the level's node vectors
+(each computed once per document) are the rows of ``V``, and ``V Vᵀ``
+over the outer product of the row norms holds every cosine of the
+level.  Each node's SC is a masked row maximum minus a masked row mean,
+recomputed only after a merge; a node whose SC clears ``θ_h`` ranks its
+live leaf siblings with one matrix-vector product and a stable sort.
+Only the order of floating-point additions differs from a per-pair
+loop (kept as the reference in ``tests/test_merging.py``), so raw
+values may move in the last bits while decisions stay the same.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import SegmentConfig
 from repro.doc.layout_tree import LayoutNode, LayoutTree
-from repro.embeddings import WordEmbedding, cosine_similarity, default_embedding
+from repro.embeddings import WordEmbedding, default_embedding
 from repro.geometry import enclosing_bbox
 from repro.resilience.faults import fault_site
 from repro.trace import Tracer
@@ -37,48 +47,45 @@ def merge_threshold(height: int, config: SegmentConfig) -> float:
     return config.theta_min + (config.theta_max - config.theta_min) / 10.0 * height
 
 
-def node_vector(node: LayoutNode, embedding: WordEmbedding, cache: Dict[int, np.ndarray]) -> np.ndarray:
-    vec = cache.get(node.node_id)
-    if vec is None:
-        vec = embedding.embed_text(node.text())
-        cache[node.node_id] = vec
-    return vec
+def _ratios(dots: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """``dots / norms`` with 0 where a norm product is 0 — the cosine of
+    a zero vector with anything is 0."""
+    return np.divide(dots, norms, out=np.zeros_like(norms), where=norms > 0.0)
 
 
-def semantic_contribution(
-    node: LayoutNode,
-    level_nodes: List[LayoutNode],
-    embedding: WordEmbedding,
-    cache: Dict[int, np.ndarray],
-) -> float:
-    """Eq. 1 for ``node`` against its level of the tree.
+def _same_parent(nodes: Sequence[LayoutNode]) -> np.ndarray:
+    """``[i, j]`` is true where nodes ``i`` and ``j`` share a parent."""
+    groups: Dict[int, int] = {}
+    ids = np.array([groups.setdefault(id(n.parent), len(groups)) for n in nodes])
+    return ids[:, None] == ids[None, :]
+
+
+def _contributions(cos: np.ndarray, same_parent: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Eq. 1 for every node of a level, from the level's cosine matrix.
+
+    Row ``i``'s sibling term is its best cosine over the *live* nodes
+    sharing its parent; its non-sibling term is the mean over every
+    other node of the level — including nodes already merged away,
+    which are no longer anyone's sibling.  Each term is 0 when its set
+    is empty.
 
     The printed equation sums cosine similarities; raw sums scale with
     the sibling count, so a literal reading lets SC cross any fixed
     threshold merely by having many siblings.  We therefore read the
-    two Σ terms as *averages* over their index sets — the
-    scale-invariant interpretation under which the θ ∈ [0, 1] schedule
-    of the footnote is meaningful.
+    non-sibling Σ as an *average* — the scale-invariant interpretation
+    under which the θ ∈ [0, 1] schedule of the footnote is meaningful —
+    and the sibling Σ as the *best* sibling (the merge partner the next
+    step would pick): a mean over heterogeneous siblings would let
+    unrelated siblings veto a clearly co-fragmented pair.
     """
-    v = node_vector(node, embedding, cache)
-    siblings = set(id(s) for s in node.siblings())
-    sibling_sims: List[float] = []
-    other_sims: List[float] = []
-    for other in level_nodes:
-        if other is node:
-            continue
-        sim = cosine_similarity(v, node_vector(other, embedding, cache))
-        if id(other) in siblings:
-            sibling_sims.append(sim)
-        else:
-            other_sims.append(sim)
-    # The sibling term uses the *best* sibling (the merge partner the
-    # next step would pick); the non-sibling term stays an average.  A
-    # literal mean over heterogeneous siblings would let unrelated
-    # siblings veto a clearly co-fragmented pair.
-    best_sib = float(np.max(sibling_sims)) if sibling_sims else 0.0
-    mean_other = float(np.mean(other_sims)) if other_sims else 0.0
-    return best_sib - mean_other
+    others = ~np.eye(len(live), dtype=bool)
+    siblings = same_parent & live & others
+    rest = others & ~siblings
+    best = np.where(siblings, cos, -np.inf).max(axis=1)
+    best = np.where(siblings.any(axis=1), best, 0.0)
+    count = rest.sum(axis=1)
+    mean = np.where(rest, cos, 0.0).sum(axis=1) / np.maximum(count, 1)
+    return best - mean
 
 
 def _not_visually_separated(a: LayoutNode, b: LayoutNode, config: SegmentConfig) -> bool:
@@ -140,17 +147,39 @@ def semantic_merge(
     if embedding is None:
         embedding = default_embedding()
     tracing = tracer is not None and tracer.enabled
-    cache: Dict[int, np.ndarray] = {}
+    vectors: Dict[int, Tuple[np.ndarray, float]] = {}
+
+    def stack(nodes: Sequence[LayoutNode]) -> Tuple[np.ndarray, np.ndarray]:
+        """The nodes' vectors as matrix rows, and their norms."""
+        for node in nodes:
+            if node.node_id not in vectors:
+                vec = embedding.embed_text(node.text())
+                vectors[node.node_id] = (vec, float(np.linalg.norm(vec)))
+        rows = [vectors[node.node_id] for node in nodes]
+        return np.array([v for v, _ in rows]), np.array([n for _, n in rows])
+
     total = 0
     for _pass in range(32):  # fixpoint bound (defensive)
         height = tree.height
         theta = merge_threshold(height, config)
         merged_this_pass = 0
         for level in range(height, 0, -1):
-            level_nodes = tree.nodes_at_level(level)
-            textual = [n for n in level_nodes if n.text_atoms]
-            for node in list(textual):
-                if node.parent is None or not any(c is node for c in node.parent.children):
+            # The level's textual nodes are fixed when the level starts:
+            # a node merged away later in this walk still counts as a
+            # non-sibling, and a node a merge creates is not in the
+            # matrix (though it can still be chosen as a partner).
+            textual = [n for n in tree.nodes_at_level(level) if n.text_atoms]
+            index = {id(n): i for i, n in enumerate(textual)}
+            live = np.ones(len(textual), dtype=bool)
+            # Each parent's live leaf textual children, in order — the
+            # merge candidates of its children.  Only a merge under the
+            # parent changes the list.
+            candidates: Dict[int, List[LayoutNode]] = {}
+            cos: Optional[np.ndarray] = None
+            same_parent: Optional[np.ndarray] = None
+            contributions: Optional[np.ndarray] = None
+            for i, node in enumerate(textual):
+                if not live[i]:
                     continue  # already consumed by a merge
                 # Only leaves (logical-block candidates) merge — merging
                 # internal nodes would discard their sub-structure.  The
@@ -159,10 +188,21 @@ def semantic_merge(
                 # visual-separation test below.
                 if not node.is_leaf:
                     continue
-                siblings = [s for s in node.siblings() if s.is_leaf and s.text_atoms]
+                parent = node.parent
+                if id(parent) not in candidates:
+                    candidates[id(parent)] = [
+                        c for c in parent.children if c.is_leaf and c.text_atoms
+                    ]
+                siblings = [s for s in candidates[id(parent)] if s is not node]
                 if not siblings:
                     continue
-                sc = semantic_contribution(node, textual, embedding, cache)
+                if cos is None:
+                    rows, norms = stack(textual)
+                    cos = _ratios(rows @ rows.T, np.outer(norms, norms))
+                    same_parent = _same_parent(textual)
+                if contributions is None:
+                    contributions = _contributions(cos, same_parent, live)
+                sc = float(contributions[i])
                 if sc <= theta:
                     if tracing:
                         tracer.event(
@@ -178,28 +218,33 @@ def semantic_merge(
                             reason="sc_below_theta",
                         )
                     continue
-                v = node_vector(node, embedding, cache)
-                candidates = sorted(
-                    siblings,
-                    key=lambda s: -cosine_similarity(v, node_vector(s, embedding, cache)),
-                )
+                v, norm = vectors[node.node_id]
+                rows, norms = stack(siblings)
+                # One product-sum per row rather than BLAS ``rows @ v``:
+                # gemv may block rows differently, so duplicate texts
+                # could stop tying and the stable sort below would no
+                # longer break their tie by sibling order.
+                sims = _ratios((rows * v).sum(axis=1), norms * norm)
                 chosen = None
-                best_sim = None
-                for partner in candidates:
-                    sim = cosine_similarity(v, node_vector(partner, embedding, cache))
-                    if best_sim is None:
-                        best_sim = sim
+                for k in np.argsort(-sims, kind="stable"):
                     # The θ schedule gates the *contribution*; the pair
                     # itself must genuinely share semantics, or tightly
                     # adjacent but semantically distinct areas (title vs
                     # schedule line) would re-merge.
-                    if sim > max(theta, 0.3) and _not_visually_separated(node, partner, config):
-                        chosen = (partner, sim)
-                        merged = _merge_nodes(node.parent, node, partner)
-                        cache.pop(merged.node_id, None)
+                    if sims[k] > max(theta, 0.3) and _not_visually_separated(
+                        node, siblings[k], config
+                    ):
+                        chosen = siblings[k]
+                        _merge_nodes(parent, node, chosen)
+                        del candidates[id(parent)]
+                        live[i] = False
+                        if id(chosen) in index:
+                            live[index[id(chosen)]] = False
+                        contributions = None
                         merged_this_pass += 1
                         break
                 if tracing:
+                    sim = sims[k] if chosen is not None else sims.max()
                     tracer.event(
                         "merge.decision",
                         height=height,
@@ -208,11 +253,9 @@ def semantic_merge(
                         sc=round(sc, 4),
                         node=_node_label(node),
                         merged=chosen is not None,
-                        partner=_node_label(chosen[0]) if chosen else None,
-                        sim=round(float(chosen[1] if chosen else best_sim), 4)
-                        if (chosen or best_sim is not None)
-                        else None,
-                        reason="merged" if chosen else "no_eligible_partner",
+                        partner=_node_label(chosen) if chosen is not None else None,
+                        sim=round(float(sim), 4),
+                        reason="merged" if chosen is not None else "no_eligible_partner",
                     )
         total += merged_this_pass
         if tracing:

@@ -12,6 +12,7 @@ Design constraints (from how Eq. 1 / Eq. 2 use the model):
 from __future__ import annotations
 
 import hashlib
+from collections import OrderedDict
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -21,6 +22,13 @@ from repro.nlp import gazetteers as gaz
 from repro.nlp.tokenizer import words as tokenize_words
 
 DIM = 64
+
+#: Words whose vectors a :class:`WordEmbedding` keeps, least recently
+#: used evicted first.  A D2 stream of 1,200 posters has ~7.3k distinct
+#: words, so the bound never binds there; on D1's open OCR vocabulary
+#: it keeps a long-lived worker's memo flat at the cost of ~1% more
+#: recomputed words than an unbounded memo.
+MEMO_WORDS = 8192
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -64,7 +72,6 @@ class HashEmbedding:
         self.dim = dim
         self.n_min = n_min
         self.n_max = n_max
-        self._cache: Dict[str, np.ndarray] = {}
 
     def _ngrams(self, word: str) -> List[str]:
         padded = f"<{word}>"
@@ -74,17 +81,11 @@ class HashEmbedding:
         return grams or [padded]
 
     def embed(self, word: str) -> np.ndarray:
-        key = word.lower()
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
         total = np.zeros(self.dim)
-        for gram in self._ngrams(key):
+        for gram in self._ngrams(word.lower()):
             total += _stable_unit_vector("ng:" + gram, self.dim)
         norm = np.linalg.norm(total)
-        vec = total / norm if norm > 0 else total
-        self._cache[key] = vec
-        return vec
+        return total / norm if norm > 0 else total
 
 
 #: Topic lexicons: semantic fields of the corpora's vocabulary.
@@ -154,20 +155,27 @@ class WordEmbedding:
         self.topic_weight = topic_weight
         self._hash = HashEmbedding(dim)
         self._topic = TopicEmbedding(dim)
-        self._cache: Dict[str, np.ndarray] = {}
+        self._memo: "OrderedDict[str, np.ndarray]" = OrderedDict()
 
     def embed(self, word: str) -> np.ndarray:
+        """The word's unit vector (zero for a word with no n-gram or
+        topic signal).  Memoised per lower-cased word, at most
+        :data:`MEMO_WORDS` of them; treat the result as read-only."""
         key = word.lower()
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
+        memo = self._memo
+        vec = memo.get(key)
+        if vec is not None:
+            memo.move_to_end(key)
+            return vec
         base = self._hash.embed(key) * (1.0 - self.topic_weight)
         topic = self._topic.embed(key) * self.topic_weight
         vec = base + topic
         norm = np.linalg.norm(vec)
         if norm > 0:
             vec = vec / norm
-        self._cache[key] = vec
+        memo[key] = vec
+        if len(memo) > MEMO_WORDS:
+            memo.popitem(last=False)
         return vec
 
     def embed_text(self, text: str) -> np.ndarray:
@@ -206,8 +214,9 @@ _DEFAULT: Optional[WordEmbedding] = None
 
 
 def default_embedding() -> WordEmbedding:  # conc: ambient - idempotent memo cache, safe to refill per process
-    """Process-wide shared default model (cache reuse matters: Eq. 1 is
-    evaluated for every node pair at every merge iteration)."""
+    """Process-wide shared default model (memo reuse matters: every
+    node vector of Eq. 1 and Eq. 2 is a mean of word vectors, and a
+    corpus repeats most of its words)."""
     global _DEFAULT
     if _DEFAULT is None:
         _DEFAULT = WordEmbedding()

@@ -25,9 +25,10 @@ Four modules:
 * :mod:`repro.trace.explain` — the human-readable decision report
   behind ``python -m repro explain`` (cut ledger, merge ledger,
   Pareto table);
-* :mod:`repro.trace.ledger` — the canonical ``cut.decision`` ledger
-  and its diff, the byte-equivalence oracle of the ``segment.cuts``
-  fast path (docs/PERFORMANCE.md).
+* :mod:`repro.trace.ledger` — the canonical ledger of named decision
+  events (``cut.decision`` by default) and its diff, the
+  byte-equivalence oracle of the ``segment.cuts`` fast path and of the
+  matrix form of semantic merging (docs/PERFORMANCE.md).
 
 See ``docs/TRACING.md`` for the span model and event schema.
 """

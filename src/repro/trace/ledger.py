@@ -1,10 +1,12 @@
-"""The ``cut.decision`` ledger — canonical form and diffing.
+"""Decision ledgers — canonical form and diffing.
 
 Algorithm 1 emits one ``cut.decision`` event per candidate cut set (in
 topological order) carrying the orientation, position, normalised
 width, physical floor and the verdict with its reason.  Serialised
 canonically, the sequence of those events is a complete record of every
-separator decision of a run — the **ledger**.
+separator decision of a run — the **ledger**.  The same canonical form
+records any other decision events by name: ``("merge.decision",
+"merge.pass")`` is the ledger of the semantic-merging fixpoint.
 
 The ledger is the equivalence oracle of the ``segment.cuts`` fast path:
 the prefix-sum projection profiles (:mod:`repro.geometry.profiles`)
@@ -26,32 +28,38 @@ from typing import Dict, List, Sequence, Tuple
 from repro.trace.explain import collect_events
 from repro.trace.tracer import Span
 
-#: Event name this ledger records.
+#: Event name the ledger records by default.
 CUT_DECISION = "cut.decision"
 
 
-def cut_ledger(roots: Sequence[Span]) -> List[Tuple[str, Dict[str, object]]]:
-    """All ``cut.decision`` events of a span forest, depth-first, as
-    ``(span_path, attrs)`` pairs.
+def cut_ledger(
+    roots: Sequence[Span], events: Sequence[str] = (CUT_DECISION,)
+) -> List[Tuple[str, Dict[str, object]]]:
+    """The events of a span forest named in ``events``, depth-first, as
+    ``(span_path, attrs)`` pairs; ``attrs`` carries the event name under
+    ``"event"``.
 
     Depth-first order is the emission order (the recursion visits
     areas deterministically), so two runs over the same corpus produce
     comparable ledgers row for row.
     """
+    wanted = frozenset(events)
     return [
-        (path, dict(event.attrs))
-        for path, event in collect_events(roots, CUT_DECISION)
+        (path, {"event": event.name, **event.attrs})
+        for path, event in collect_events(roots)
+        if event.name in wanted
     ]
 
 
-def ledger_lines(roots: Sequence[Span]) -> List[str]:
-    """The ledger serialised canonically — one compact JSON object per
-    decision, keys sorted, no timestamps.  Byte-comparable across runs:
-    equality of these lines is the fast-vs-naive acceptance gate.
+def ledger_lines(roots: Sequence[Span], events: Sequence[str] = (CUT_DECISION,)) -> List[str]:
+    """The ledger of ``events`` serialised canonically — one compact
+    JSON object per decision, keys sorted, no timestamps.
+    Byte-comparable across runs: equality of the default (cut) lines is
+    the fast-vs-naive acceptance gate.
     """
     return [
         json.dumps({"span": path, **attrs}, sort_keys=True)
-        for path, attrs in cut_ledger(roots)
+        for path, attrs in cut_ledger(roots, events)
     ]
 
 

@@ -55,6 +55,25 @@ def test_ledger_lines_are_canonical_json():
         assert line == json.dumps(row, sort_keys=True)
 
 
+def test_ledger_records_the_named_events():
+    tracer = _traced_decisions()
+    with tracer.span("doc", index=1, doc_id="X-1"):
+        with tracer.span("segment.merge"):
+            tracer.event("merge.decision", merged=False, reason="sc_below_theta")
+            tracer.event("merge.pass", merges=0)
+    roots = tracer.drain()
+    assert [row["event"] for _, row in cut_ledger(roots)] == ["cut.decision"] * 2
+    merges = cut_ledger(roots, ("merge.decision", "merge.pass"))
+    assert merges == [
+        ("doc[0]/segment", {"event": "merge.decision", "merged": True}),
+        ("doc[1]/segment.merge", {"event": "merge.decision", "merged": False, "reason": "sc_below_theta"}),
+        ("doc[1]/segment.merge", {"event": "merge.pass", "merges": 0}),
+    ]
+    mixed = [json.loads(line) for line in ledger_lines(roots, ("cut.decision", "merge.pass"))]
+    assert [row["event"] for row in mixed] == ["cut.decision", "cut.decision", "merge.pass"]
+    assert ledger_lines(roots, ()) == []
+
+
 def test_ledger_diff_empty_on_identical_and_names_divergence():
     lines = ledger_lines(_traced_decisions().drain())
     assert ledger_diff(lines, list(lines)) == []

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.embeddings import vectors
 from repro.embeddings import (
     HashEmbedding,
     TopicEmbedding,
@@ -103,6 +104,29 @@ class TestWordEmbedding:
 
     def test_default_embedding_is_shared(self):
         assert default_embedding() is default_embedding()
+
+    def test_word_memo_is_bounded_and_keeps_recent_words(self, monkeypatch):
+        monkeypatch.setattr(vectors, "MEMO_WORDS", 3)
+        e = WordEmbedding()
+        for word in ("concert", "festival", "bathroom"):
+            e.embed(word)
+        e.embed("Concert")  # a hit refreshes the word
+        e.embed("mortgage")
+        assert list(e._memo) == ["bathroom", "concert", "mortgage"]
+
+    def test_memoised_and_evicted_vectors_are_bitwise_unchanged(self, monkeypatch):
+        def blended(word):
+            key = word.lower()
+            vec = HashEmbedding().embed(key) * (1.0 - 0.6) + TopicEmbedding().embed(key) * 0.6
+            return vec / np.linalg.norm(vec)
+
+        monkeypatch.setattr(vectors, "MEMO_WORDS", 2)
+        e = WordEmbedding()
+        words = ["concert", "Refre5hments", "1234", "concert"]
+        first = [e.embed(w) for w in words]  # the second "concert" was evicted
+        again = [e.embed(w) for w in words]
+        for word, a, b in zip(words, first, again):
+            assert np.array_equal(a, blended(word)) and np.array_equal(b, blended(word)), word
 
 
 class TestSvdEmbedding:
