@@ -13,6 +13,10 @@ it), and ΔWd the difference of distance-normalised word densities.
 Every term is normalised to [0, 1] before weighting so the weights
 express the §5.3.2 trade-off directly: visually ornate corpora (D2) set
 α, β, ν ≥ γ; balanced corpora (D1, D3) use α ≈ β ≈ γ ≈ ν.
+
+Both areas' text vectors (and norms) come from the document's
+:class:`~repro.core.textview.TextView`: each block is embedded once per
+document, not once per (candidate, interest point) pair.
 """
 
 from __future__ import annotations
@@ -22,8 +26,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.textview import TextView, text_view
 from repro.doc.layout_tree import LayoutNode
-from repro.embeddings import WordEmbedding, cosine_similarity, default_embedding
+from repro.embeddings import WordEmbedding, cosine_of
 
 
 @dataclass(frozen=True)
@@ -54,17 +59,16 @@ def multimodal_distance(
     weights: Eq2Weights,
     page_diag: float,
     embedding: Optional[WordEmbedding] = None,
+    view: Optional[TextView] = None,
 ) -> float:
     """Eq. 2: weighted L1 distance between two visual areas."""
-    embedding = embedding or default_embedding()
+    view = text_view(view, embedding)
     if page_diag <= 0:
         raise ValueError("page_diag must be positive")
     delta_d = s.bbox.centroid_l1_distance(c.bbox) / (2.0 * page_diag)
     max_h = max(s.bbox.h, c.bbox.h, 1.0)
     delta_h = abs(s.bbox.h - c.bbox.h) / max_h
-    sim = cosine_similarity(
-        embedding.embed_text(s.text()), embedding.embed_text(c.text())
-    )
+    sim = cosine_of(*view.vector(view.text(s)), *view.vector(view.text(c)))
     delta_sim = (1.0 - sim) / 2.0
     d_s, d_c = s.word_density(), c.word_density()
     max_density = max(d_s, d_c, 1e-9)
@@ -83,12 +87,14 @@ def distance_to_interest_points(
     weights: Eq2Weights,
     page_diag: float,
     embedding: Optional[WordEmbedding] = None,
+    view: Optional[TextView] = None,
 ) -> float:
     """min over interest points of Eq. 2 — the candidate's rank key."""
     if not interest_points:
         return float("inf")
+    view = text_view(view, embedding)
     return min(
-        multimodal_distance(candidate, ip, weights, page_diag, embedding)
+        multimodal_distance(candidate, ip, weights, page_diag, view=view)
         for ip in interest_points
     )
 
@@ -104,8 +110,9 @@ def rank_candidates(
 
     Ties preserve input (document) order.
     """
+    view = TextView(embedding)
     scores = [
-        distance_to_interest_points(c, interest_points, weights, page_diag, embedding)
+        distance_to_interest_points(c, interest_points, weights, page_diag, view=view)
         for c in candidates
     ]
     return sorted(range(len(candidates)), key=lambda i: (scores[i], i))

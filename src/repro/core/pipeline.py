@@ -40,6 +40,11 @@ Usage
 >>> sorted(result.as_key_values())           # doctest: +ELLIPSIS
 ['event_description', 'event_organizer', ...]
 
+Each run builds one :class:`~repro.core.textview.TextView` — the
+document's block texts, parses and vectors, each derived once and shared
+by merging, pattern search and Eq. 2 — and drops it with the document:
+nothing in a :class:`PipelineResult` refers to it.
+
 Instrumentation (:mod:`repro.perf`) is always on: every run records
 per-stage wall-time into :attr:`VS2Pipeline.metrics`, and an optional
 :class:`~repro.ocr.cache.TranscriptionCache` memoises the clean step.
@@ -56,6 +61,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.config import VS2Config
 from repro.core.segment import VS2Segmenter
 from repro.core.select import Extraction, VS2Selector
+from repro.core.textview import TextView
 from repro.doc import Document
 from repro.doc.layout_tree import LayoutNode, LayoutTree
 from repro.embeddings import WordEmbedding, default_embedding
@@ -195,6 +201,9 @@ class VS2Pipeline:
         retry budget, not to degradation.
         """
         degradations: List[Degradation] = []
+        # Filled lazily by the stages that read it; lives for this
+        # document only.
+        view = TextView(self.embedding)
         if self.cache is not None:
             ocr, observed, angle = self.cache.cleaned(
                 self.ocr, doc, self.metrics, tracer=self.tracer
@@ -205,14 +214,16 @@ class VS2Pipeline:
             )
         with self.metrics.stage("segment") as t, self.tracer.span("segment") as sp:
             try:
-                tree = self.segmenter.segment(observed)
+                tree = self.segmenter.segment(observed, view=view)
             except Exception as exc:  # registered isolation site (RES002)
                 if isinstance(exc, TransientFault):
                     raise
                 self._note_degradation(
                     degradations, "segment", "visual_only", exc
                 )
-                tree = self.segmenter.segment(observed, semantic_merging=False)
+                tree = self.segmenter.segment(
+                    observed, semantic_merging=False, view=view
+                )
             blocks = tree.logical_blocks()
             t.items = len(blocks)
             sp.attrs["blocks"] = len(blocks)
@@ -224,7 +235,7 @@ class VS2Pipeline:
                     # extraction up front rather than after a failure.
                     extractions = self._ner_fallback(blocks)
                 else:
-                    extractions = self.selector.extract(observed, blocks)
+                    extractions = self.selector.extract(observed, blocks, view=view)
             except Exception as exc:  # registered isolation site (RES002)
                 if isinstance(exc, TransientFault):
                     raise

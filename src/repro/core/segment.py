@@ -12,7 +12,8 @@ Each iteration of the recursion, on one visual area:
 
 After convergence a **semantic merging** fixpoint (Eq. 1) repairs
 over-segmentation.  The leaves of the resulting tree are the logical
-blocks.
+blocks.  Merging reads node texts and vectors from the document's
+:class:`~repro.core.textview.TextView`, which selection reuses.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from repro.core.clustering import cluster_elements
 from repro.core.config import SegmentConfig
 from repro.core.delimiters import identify_visual_delimiters
 from repro.core.merging import semantic_merge
+from repro.core.textview import TextView
 from repro.doc import Document
 from repro.doc.elements import AtomicElement
 from repro.doc.layout_tree import LayoutNode, LayoutTree
@@ -73,7 +75,12 @@ class VS2Segmenter:
     # Public API
     # ------------------------------------------------------------------
     @checked(post=lambda tree, self, doc, **kw: check_layout_tree(tree))
-    def segment(self, doc: Document, semantic_merging: Optional[bool] = None) -> LayoutTree:
+    def segment(
+        self,
+        doc: Document,
+        semantic_merging: Optional[bool] = None,
+        view: Optional[TextView] = None,
+    ) -> LayoutTree:
         """Build the layout tree of ``doc``.
 
         The input should be the *observed* document (OCR output view)
@@ -81,7 +88,9 @@ class VS2Segmenter:
         studying segmentation in isolation.  ``semantic_merging``
         overrides ``config.use_semantic_merging`` for this call — the
         pipeline's degradation ladder uses it to retry a document
-        visual-only after a semantic-merge failure.
+        visual-only after a semantic-merge failure.  ``view`` is the
+        document's text view, shared with selection (merging builds a
+        fresh one by default).
         """
         atoms = list(doc.elements)
         if atoms:
@@ -100,7 +109,9 @@ class VS2Segmenter:
             with self.metrics.stage("segment.merge"), self.tracer.span(
                 "segment.merge"
             ):
-                semantic_merge(tree, self.config, self.embedding, tracer=self.tracer)
+                semantic_merge(
+                    tree, self.config, self.embedding, tracer=self.tracer, view=view
+                )
         return tree
 
     def logical_blocks(self, doc: Document) -> List[LayoutNode]:

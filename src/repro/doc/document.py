@@ -181,7 +181,12 @@ def group_into_lines(
     return lines
 
 
+def join_lines(lines: Sequence[Sequence[TextElement]]) -> str:
+    """The text of grouped lines: words joined by spaces, lines by
+    newlines."""
+    return "\n".join(" ".join(w.text for w in line) for line in lines)
+
+
 def join_in_reading_order(words: Sequence[TextElement]) -> str:
     """Linearise words line-by-line into a single string."""
-    lines = group_into_lines(words)
-    return "\n".join(" ".join(w.text for w in line) for line in lines)
+    return join_lines(group_into_lines(words))

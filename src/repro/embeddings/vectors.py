@@ -33,8 +33,12 @@ MEMO_WORDS = 8192
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine of two vectors; 0 when either is a zero vector."""
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+    return cosine_of(a, float(np.linalg.norm(a)), b, float(np.linalg.norm(b)))
+
+
+def cosine_of(a: np.ndarray, na: float, b: np.ndarray, nb: float) -> float:
+    """:func:`cosine_similarity` of ``a`` and ``b`` given their norms
+    ``na`` and ``nb`` (as ``float(np.linalg.norm(...))``)."""
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(np.dot(a, b) / (na * nb))

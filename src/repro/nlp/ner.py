@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.nlp import gazetteers as gaz
-from repro.nlp.geocode import recognize_addresses
-from repro.nlp.timex import recognize_timex
+from repro.nlp.geocode import GeocodeMatch, recognize_addresses
+from repro.nlp.timex import Timex, recognize_timex
 from repro.nlp.tokenizer import Token, tokenize
 
 PHONE_RE = re.compile(
@@ -119,14 +119,25 @@ def _classify_run(tokens: Sequence[Token]) -> Optional[Tuple[str, float]]:
     return None
 
 
-def recognize_entities(text: str, min_confidence: float = 0.3) -> List[Entity]:
+def recognize_entities(
+    text: str,
+    min_confidence: float = 0.3,
+    timex: Optional[Sequence[Timex]] = None,
+    addresses: Optional[Sequence[GeocodeMatch]] = None,
+) -> List[Entity]:
     """All entity spans in ``text`` above ``min_confidence``.
 
     Regex entities (PHONE / EMAIL / MONEY) are found first and their
     character spans blocked; TIMEX and address recognisers contribute
     DATE/TIME/LOCATION; finally capitalised runs are classified into
-    PERSON/ORGANIZATION/LOCATION.
+    PERSON/ORGANIZATION/LOCATION.  A caller that already ran those two
+    recognisers on ``text`` passes their spans as ``timex`` /
+    ``addresses`` instead of having them recomputed.
     """
+    if timex is None:
+        timex = recognize_timex(text)
+    if addresses is None:
+        addresses = recognize_addresses(text)
     entities: List[Entity] = []
     claimed = [False] * (len(text) + 1)
 
@@ -142,12 +153,12 @@ def recognize_entities(text: str, min_confidence: float = 0.3) -> List[Entity]:
             if claim(m.start(), m.end()):
                 entities.append(Entity(m.group(0), m.start(), m.end(), label, 0.95))
 
-    for tm in recognize_timex(text):
+    for tm in timex:
         if claim(tm.start, tm.end):
             label = "TIME" if tm.timex_type in ("TIME", "DURATION") else "DATE"
             entities.append(Entity(tm.text, tm.start, tm.end, label, 0.9))
 
-    for g in recognize_addresses(text):
+    for g in addresses:
         if g.is_valid and claim(g.start, g.end):
             entities.append(Entity(g.text, g.start, g.end, "LOCATION", g.confidence))
 
