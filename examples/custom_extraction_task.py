@@ -22,6 +22,7 @@ from repro.core.patterns import (
     CURATED_PATTERNS,
     PatternMatch,
     SyntacticPattern,
+    TextAnalysis,
     learn_patterns_from_holdout,
 )
 from repro.doc import Annotation, Document, TextElement
@@ -33,10 +34,10 @@ from repro.synth.layout import TextStyle, layout_line
 PRICE_RE = re.compile(r"(?:\$\s?\d+(?:\.\d{2})?|free admission|free entry)", re.I)
 
 
-def match_price(text: str) -> List[PatternMatch]:
+def match_price(block: TextAnalysis) -> List[PatternMatch]:
     return [
         PatternMatch(m.group(0), m.start(), m.end(), 0.9)
-        for m in PRICE_RE.finditer(text)
+        for m in PRICE_RE.finditer(block.text)
     ]
 
 
