@@ -46,18 +46,20 @@ def semantic_coherence(block: LayoutNode, embedding: WordEmbedding) -> float:
     texts = [a.text for a in block.text_atoms][:40]
     if len(texts) < 2:
         return 0.0
-    vectors = [embedding.embed(t) for t in texts]
-    # Norms hoisted out of the O(n²) pair loop; the inlined expression
-    # mirrors cosine_similarity exactly (same dot, same guards), so the
-    # sum is bitwise identical to the per-pair calls.
-    norms = [float(np.linalg.norm(v)) for v in vectors]
+    vectors = np.array([embedding.embed(t) for t in texts])
+    # Every dot product through a broadcast vector-vector matmul, which
+    # runs the kernel np.dot (and so np.linalg.norm) runs per pair; the
+    # cosines of the pairs i < j of non-zero vectors are then added in
+    # row-major order, so the sum is bitwise cosine_similarity's summed
+    # pair by pair (the loop is kept in tests/test_features_misc.py).
+    dots = np.matmul(vectors[:, None, None, :], vectors[None, :, :, None])[:, :, 0, 0]
+    norms = np.sqrt(dots.diagonal())
+    rows, cols = np.triu_indices(len(texts), 1)
+    keep = (norms[rows] != 0.0) & (norms[cols] != 0.0)
+    rows, cols = rows[keep], cols[keep]
     total = 0.0
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            na, nb = norms[i], norms[j]
-            if na == 0.0 or nb == 0.0:
-                continue
-            total += float(np.dot(vectors[i], vectors[j]) / (na * nb))
+    for cosine in (dots[rows, cols] / (norms[rows] * norms[cols])).tolist():
+        total += cosine
     return total
 
 

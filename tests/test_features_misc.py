@@ -34,6 +34,19 @@ def word(text, x, y, w=40, h=12):
     return TextElement(text, BBox(x, y, w, h))
 
 
+def reference_semantic_coherence(block, embedding):
+    """The per-pair loop: one cosine per pair of the first 40 words."""
+    vectors = [embedding.embed(a.text) for a in block.text_atoms][:40]
+    norms = [float(np.linalg.norm(v)) for v in vectors]
+    total = 0.0
+    for i in range(len(vectors)):
+        for j in range(i + 1, len(vectors)):
+            if norms[i] == 0.0 or norms[j] == 0.0:
+                continue
+            total += float(np.dot(vectors[i], vectors[j]) / (norms[i] * norms[j]))
+    return total
+
+
 class TestBaselineFeatures:
     def test_text_features_flags(self):
         v = text_features("Call (614) 555-0100 or a@b.com on Friday at 4 Oak Street, Columbus, OH")
@@ -85,6 +98,26 @@ class TestCoreFeatureExtras:
         node = LayoutNode(BBox(0, 0, 3000, 12), many)
         value = semantic_coherence(node, default_embedding())
         assert value <= 40 * 39 / 2  # capped word count
+
+    def test_semantic_coherence_equals_pair_loop(self, d2_cleaned):
+        """Bitwise the per-pair loop on every block of seeded posters,
+        and on blocks with zero vectors, repeats and the 40-word cap."""
+        from repro.core.segment import VS2Segmenter
+
+        embedding = default_embedding()
+        blocks = [
+            b
+            for _, observed, _ in d2_cleaned
+            for b in VS2Segmenter().segment(observed).logical_blocks()
+        ]
+        mixed = ["concert", "12", "concert", "$", "Hall", "Main", "St", "4pm"]
+        blocks += [
+            LayoutNode(BBox(0, 0, 500, 12), [word(t, i * 50, 0) for i, t in enumerate(mixed * k)])
+            for k in (1, 3, 6)
+        ]
+        for block in blocks:
+            want = reference_semantic_coherence(block, embedding)
+            assert semantic_coherence(block, embedding) == want
 
 
 class TestParseHelpers:
