@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint lint-cold lint-flow contracts bench bench-smoke perfbench-selftest tables trace-smoke chaos-smoke metrics-smoke serve-smoke docs-check
+.PHONY: test lint lint-cold lint-cache contracts bench bench-smoke perfbench-selftest tables trace-smoke chaos-smoke metrics-smoke serve-smoke docs-check
 
 test: lint       ## the tier-1 suite (~600 unit/integration tests) + contract pass
 	$(PY) -m pytest -x -q
@@ -17,12 +17,12 @@ lint-cold:       ## same, but from scratch (ignores and rebuilds the result cach
 	rm -f .repro_check_cache.json
 	$(PY) -m repro check src tests --cache .repro_check_cache.json --stats --timings
 
-lint-flow:       ## cold+warm flow-analysis round trip; the warm run must rebuild nothing
-	rm -f .lint_flow_cache.json
-	$(PY) -m repro check src tests --cache .lint_flow_cache.json --stats
-	$(PY) -m repro check src tests --cache .lint_flow_cache.json --stats 2>&1 \
-	    | tee /dev/stderr | grep -q ", 0 CFG(s) built$$"
-	rm -f .lint_flow_cache.json
+lint-cache:      ## cold+warm result-cache round trip; the warm run must parse nothing
+	rm -f .lint_cache_check.json
+	$(PY) -m repro check src tests --cache .lint_cache_check.json --stats
+	$(PY) -m repro check src tests --cache .lint_cache_check.json --stats 2>&1 \
+	    | tee /dev/stderr | grep -qF "file(s), 0 parsed,"
+	rm -f .lint_cache_check.json
 
 contracts:       ## the runtime-contract test subset with contracts forced on
 	REPRO_CONTRACTS=1 $(PY) -m pytest -x -q -m contracts

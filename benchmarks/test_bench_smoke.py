@@ -3,10 +3,10 @@
 Runs one tiny corpus through the instrumented parallel runner and
 writes ``benchmarks/results/BENCH_pipeline.json`` — the per-stage
 timing snapshot future PRs diff against (docs/PROFILING.md) — then
-proves the ``segment.cuts`` fast path on all three corpora: the
-``cut.decision`` ledgers of a fast and a ``--naive-cuts`` run must be
-byte-identical, and the fast run must actually be faster (the
-regression gate; docs/PERFORMANCE.md).  Kept deliberately small so it
+proves the ``segment.cuts`` profile path on all three corpora: the
+``cut.decision`` ledgers of a normal run and of one with the per-slope
+reference scan swapped in must be byte-identical, and the normal run
+must actually be faster (the regression gate; docs/PERFORMANCE.md).  Kept deliberately small so it
 can run on every change::
 
     make bench-smoke
@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import pytest
 
+import repro.core.segment as segment
 from repro.analysis.contracts import contracts_mode
 from repro.core.config import VS2Config
 from repro.core.pipeline import VS2Pipeline
+from repro.geometry.cuts import reference_interior_cut_sets
 from repro.harness import ExperimentContext, timing_table
 from repro.instrument import PipelineMetrics
 from repro.ocr.cache import TranscriptionCache
@@ -33,32 +35,51 @@ from conftest import save_result
 SMOKE_DOCS = 8
 SMOKE_WORKERS = 2
 
-#: Fast-path regression gate: the prefix-sum path must beat the naive
-#: rescan by at least this factor on ``segment.cuts`` (measured 2–3×
-#: across corpora; the loose floor absorbs machine noise while still
-#: failing if the fast path silently stops being wired in).
+#: Fast-path regression gate: the prefix-sum path must beat the per-
+#: slope reference rescan by at least this factor on ``segment.cuts``
+#: (measured 2–3× across corpora; the loose floor absorbs machine noise
+#: while still failing if the fast path silently stops being wired in).
 MIN_CUTS_SPEEDUP = 1.3
 
 
+class _NoProfiles:
+    """Stands in for ``ProfileStore``: the reference side builds no
+    projection profile, so its ``segment.cuts`` time is the plain scan."""
+
+    def profile_for(self, *args):
+        return None
+
+
+def _reference_cuts(grid, orientation, profile=None):
+    return reference_interior_cut_sets(grid, orientation)
+
+
 def _paired_ledger_run(dataset: str, n_docs: int):
-    """Run ``n_docs`` of ``dataset`` through the pipeline twice — fast
-    and naive cut search — sharing one transcription cache so both see
-    byte-identical observed documents.  Returns per-variant canonical
-    ledgers and ``segment.cuts`` seconds."""
+    """Run ``n_docs`` of ``dataset`` through the pipeline twice — with
+    the profile path and with the reference scan swapped in — sharing
+    one transcription cache so both see byte-identical observed
+    documents.  Returns per-variant canonical ledgers and
+    ``segment.cuts`` seconds."""
     corpus = generate_corpus(dataset, n=n_docs, seed=0)
     cache = TranscriptionCache()
     out = {}
     for fast in (True, False):
-        config = VS2Config.for_dataset(dataset)
-        config.segment.fast_cuts = fast
-        tracer = Tracer()
-        metrics = PipelineMetrics()
-        pipeline = VS2Pipeline(
-            dataset, config=config, cache=cache, metrics=metrics, tracer=tracer
-        )
-        for i, doc in enumerate(corpus):
-            with tracer.span("doc", index=i, doc_id=doc.doc_id):
-                pipeline.run(doc)
+        with pytest.MonkeyPatch.context() as patch:
+            if not fast:
+                patch.setattr(segment, "ProfileStore", _NoProfiles)
+                patch.setattr(segment, "interior_cut_sets", _reference_cuts)
+            tracer = Tracer()
+            metrics = PipelineMetrics()
+            pipeline = VS2Pipeline(
+                dataset,
+                config=VS2Config.for_dataset(dataset),
+                cache=cache,
+                metrics=metrics,
+                tracer=tracer,
+            )
+            for i, doc in enumerate(corpus):
+                with tracer.span("doc", index=i, doc_id=doc.doc_id):
+                    pipeline.run(doc)
         out[fast] = (ledger_lines(tracer.drain()), metrics["segment.cuts"].seconds)
     return out
 
@@ -74,9 +95,9 @@ def test_bench_smoke_fast_naive_equivalence(results_dir):
         fast_ledger, fast_s = runs[True]
         naive_ledger, naive_s = runs[False]
         assert fast_ledger, f"{dataset}: no cut.decision events traced"
-        diff = ledger_diff(naive_ledger, fast_ledger, "naive-cuts", "fast-cuts")
+        diff = ledger_diff(naive_ledger, fast_ledger, "reference-cuts", "profile-cuts")
         assert not diff, (
-            f"{dataset}: fast and naive cut decisions diverge:\n"
+            f"{dataset}: profile and reference cut decisions diverge:\n"
             + "\n".join(diff[:40])
         )
         total_fast += fast_s

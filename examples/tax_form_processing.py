@@ -12,9 +12,9 @@ Run:  python examples/tax_form_processing.py
 from collections import defaultdict
 
 from repro.core import VS2Pipeline
+from repro.datasets import form_faces
 from repro.eval.metrics import PRF, match_extractions
 from repro.synth import generate_corpus
-from repro.synth.tax_forms import form_faces
 
 
 def main() -> None:

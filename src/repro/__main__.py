@@ -132,18 +132,6 @@ def _build_supervision(args: argparse.Namespace):
     )
 
 
-def _naive_cuts_config(args: argparse.Namespace):
-    """``VS2Config`` with the prefix-sum cut fast path disabled, or
-    ``None`` when ``--naive-cuts`` was not given (keep defaults)."""
-    if not getattr(args, "naive_cuts", False):
-        return None
-    from repro.core.config import VS2Config
-
-    config = VS2Config()
-    config.segment.fast_cuts = False
-    return config
-
-
 def _cmd_extract(args: argparse.Namespace) -> int:
     from repro.perf import CorpusRunner
     from repro.synth import generate_corpus
@@ -154,7 +142,6 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         args.dataset,
         workers=args.workers,
         tracer=tracer,
-        config=_naive_cuts_config(args),
         fault_plan=_build_fault_plan(args),
         supervision=_build_supervision(args),
     )
@@ -201,7 +188,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     tracer = Tracer()
     corpus = generate_corpus(args.dataset, n=args.doc + 1, seed=args.seed)
     doc = corpus[args.doc]
-    pipeline = VS2Pipeline(args.dataset, config=_naive_cuts_config(args), tracer=tracer)
+    pipeline = VS2Pipeline(args.dataset, tracer=tracer)
     with tracer.span("doc", index=args.doc, doc_id=doc.doc_id):
         result = pipeline.run(doc)
     rows = [
@@ -245,10 +232,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     tracer = _build_tracer(args)
     mode = contracts_mode()
     context = ExperimentContext({args.dataset: args.n}, seed=args.seed)
-    outcome = context.run_pipeline(
-        args.dataset, workers=args.workers, tracer=tracer,
-        config=_naive_cuts_config(args),
-    )
+    outcome = context.run_pipeline(args.dataset, workers=args.workers, tracer=tracer)
     print(timing_table(outcome.metrics, title="Pipeline per-stage timing").format())
     # One-line drift vs the committed snapshot (read before ``--out``
     # possibly overwrites the same file).
@@ -451,7 +435,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:  # exc: boundary - CLI surface; injected faults print as tracebacks
+def _cmd_figure(args: argparse.Namespace) -> int:
     from repro.harness import ExperimentContext, figure3, figure4_and_6
 
     context = ExperimentContext({"D2": max(args.doc_index + 1, 4)}, seed=args.seed)
@@ -576,7 +560,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         s = result.stats
         print(
             f"repro check stats: {s['files']} file(s), {s['parsed']} parsed, "
-            f"{s['cached']} from cache, {s.get('cfgs', 0)} CFG(s) built",
+            f"{s['cached']} from cache",
             file=sys.stderr,
         )
     if args.timings:
@@ -617,15 +601,6 @@ def _dataset_arg(p: argparse.ArgumentParser, default: str = "D2") -> None:
         "--dataset", choices=["D1", "D2", "D3"], default=default,
         type=lambda s: s.upper(),
         help="which dataset wiring to run (case-insensitive)",
-    )
-
-
-def _naive_cuts_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--naive-cuts", action="store_true",
-        help="disable the prefix-sum cut fast path and rescan the grid "
-             "per candidate slope — the A/B reference; decisions are "
-             "byte-identical either way (docs/PERFORMANCE.md)",
     )
 
 
@@ -675,7 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quarantine-report", metavar="OUT.json", default=None,
         help="write the machine-readable quarantine report here",
     )
-    _naive_cuts_arg(p)
     _add_trace_flags(p)
     _add_metrics_flags(p)
     p.set_defaults(fn=_cmd_extract)
@@ -687,7 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
     _dataset_arg(p)
     p.add_argument("--doc", type=int, default=0, help="document index in the corpus")
     p.add_argument("--seed", type=int, default=0)
-    _naive_cuts_arg(p)
     _add_trace_flags(p)
     p.set_defaults(fn=_cmd_explain)
 
@@ -717,7 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSONL run-history log this bench appends to "
              "(empty string disables the append)",
     )
-    _naive_cuts_arg(p)
     _add_trace_flags(p)
     _add_metrics_flags(p)
     p.set_defaults(fn=_cmd_bench)
@@ -843,7 +815,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rewrite baseline fingerprints after a file rename "
                         "(repeatable), then exit")
     p.add_argument("--stats", action="store_true",
-                   help="print file/parse/cache/CFG counters to stderr")
+                   help="print file/parse/cache counters to stderr")
     p.add_argument("--timings", action="store_true",
                    help="print per-stage and per-pass wall time to stderr")
     p.set_defaults(fn=_cmd_check)

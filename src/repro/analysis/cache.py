@@ -33,14 +33,14 @@ from repro.analysis.lint.engine import Violation
 
 #: Bump when the summary schema or violation semantics change shape —
 #: old cache files are then ignored wholesale instead of misread.
-#: /2: flow-sensitive facts (FlowSummary, typed_calls, pragmas) joined
-#: the summary schema.
+#: /2: flow-sensitive facts and their pragmas joined the summary schema.
 #: /3: metric emissions and the METRIC_NAMES registry (repro.obs)
 #: joined the summary schema.
 #: /4: abstract-interpretation value summaries, contract sites and a
 #: proof pragma joined the summary schema.
 #: /5: the value summaries, contract sites and proof pragma left it.
-CACHE_SCHEMA = "repro.check.cache/5"
+#: /6: the flow-sensitive facts and their pragmas left it.
+CACHE_SCHEMA = "repro.check.cache/6"
 
 
 def content_hash(data: bytes) -> str:

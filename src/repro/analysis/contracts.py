@@ -96,7 +96,6 @@ def checked(post: Callable[..., None]):
                 post(result, *args, **kwargs)
             return result
 
-        wrapper.__contract__ = post
         return wrapper
 
     return decorate

@@ -32,14 +32,6 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.flow import (
-    FlowSummary,
-    Resolver,
-    _is_constructor_name,
-    compute_flow,
-    local_constructor_types,
-    module_conc_events,
-)
 from repro.analysis.lint.engine import ModuleInfo, NoqaMark
 
 # ----------------------------------------------------------------------
@@ -128,16 +120,6 @@ class FunctionSummary:
     frame: Optional[Tuple[str, str]] = None
     #: parameter names, in order (frame pass call-site checking).
     params: List[str] = field(default_factory=list)
-    #: call edges only the flow layer's type sharpening can see
-    #: (``x = Ctor(); x.meth()``, ``self.attr.meth()``) — kept separate
-    #: from ``calls`` so the PR 4 passes are byte-for-byte unchanged.
-    typed_calls: List[Tuple[str, int]] = field(default_factory=list)
-    #: CFG-derived facts (``None`` when every fact list is empty).
-    flow: Optional[FlowSummary] = None
-    #: ``conc: ambient`` pragma — module-state writes are sanctioned.
-    conc_ambient: bool = False
-    #: ``exc: boundary`` pragma — reviewed fault boundary.
-    exc_boundary: bool = False
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -148,15 +130,10 @@ class FunctionSummary:
             "det_reviewed": self.det_reviewed,
             "frame": list(self.frame) if self.frame else None,
             "params": list(self.params),
-            "typed_calls": [list(c) for c in self.typed_calls],
-            "flow": self.flow.to_dict() if self.flow is not None else None,
-            "conc_ambient": self.conc_ambient,
-            "exc_boundary": self.exc_boundary,
         }
 
     @staticmethod
     def from_dict(data: Dict[str, object]) -> "FunctionSummary":
-        flow_data = data.get("flow")
         return FunctionSummary(
             qualname=str(data["qualname"]),
             line=int(data["line"]),  # type: ignore[arg-type]
@@ -165,12 +142,6 @@ class FunctionSummary:
             det_reviewed=bool(data["det_reviewed"]),
             frame=tuple(data["frame"]) if data["frame"] else None,  # type: ignore[arg-type]
             params=[str(p) for p in data["params"]],  # type: ignore[union-attr]
-            typed_calls=[
-                (str(n), int(ln)) for n, ln in data.get("typed_calls", [])  # type: ignore[union-attr]
-            ],
-            flow=FlowSummary.from_dict(flow_data) if flow_data else None,  # type: ignore[arg-type]
-            conc_ambient=bool(data.get("conc_ambient", False)),
-            exc_boundary=bool(data.get("exc_boundary", False)),
         )
 
 
@@ -237,10 +208,6 @@ class ModuleSummary:
     #: True when the frame pass needs this file's AST (it carries
     #: function-level or assignment-level frame pragmas).
     has_frame_pragmas: bool = False
-    #: thread/pool/call ordering events in import-time code.
-    module_conc_events: List[Tuple[int, str, str]] = field(default_factory=list)
-    #: full-line ``# conc: ambient`` — whole module is sanctioned state.
-    conc_ambient: bool = False
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -268,8 +235,6 @@ class ModuleSummary:
             "noqa": {str(line): mark.to_dict() for line, mark in self.noqa.items()},
             "module_frame": self.module_frame,
             "has_frame_pragmas": self.has_frame_pragmas,
-            "module_conc_events": [list(e) for e in self.module_conc_events],
-            "conc_ambient": self.conc_ambient,
         }
 
     @staticmethod
@@ -309,11 +274,6 @@ class ModuleSummary:
             },
             module_frame=data["module_frame"],  # type: ignore[arg-type]
             has_frame_pragmas=bool(data["has_frame_pragmas"]),
-            module_conc_events=[
-                (int(ln), str(k), str(d))
-                for ln, k, d in data.get("module_conc_events", [])  # type: ignore[union-attr]
-            ],
-            conc_ambient=bool(data.get("conc_ambient", False)),
         )
 
     def suppressed(self, line: int, rule_id: str) -> bool:
@@ -464,53 +424,16 @@ def _literal_dict_keys(node: ast.AST) -> Optional[List[str]]:
     return out
 
 
-def _class_attr_types(node: ast.ClassDef, resolver: Resolver) -> Dict[str, str]:
-    """``attr -> constructed class`` for ``self.attr = Ctor(...)``
-    assignments that agree across the whole class body (a conflicting
-    assignment drops the attribute — sharpening must never guess)."""
-    out: Dict[str, Optional[str]] = {}
-    for sub in ast.walk(node):
-        if not (isinstance(sub, ast.Assign) and len(sub.targets) == 1):
-            continue
-        target = sub.targets[0]
-        if not (
-            isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "self"
-        ):
-            continue
-        ctor: Optional[str] = None
-        if isinstance(sub.value, ast.Call):
-            resolved = resolver.resolve(sub.value.func)
-            if resolved and _is_constructor_name(resolved):
-                ctor = resolved
-        if target.attr not in out:
-            out[target.attr] = ctor
-        elif out[target.attr] != ctor:
-            out[target.attr] = None
-    return {attr: ctor for attr, ctor in out.items() if ctor}
-
-
 def summarize_module(info: ModuleInfo) -> ModuleSummary:
-    """Distill a parsed :class:`ModuleInfo` into its plain-data summary.
-
-    Two phases: the body walk collects symbols, imports and the set of
-    module-level names first; function bodies are then summarised
-    against that *complete* table, because the flow layer's
-    module-state analysis needs to know every module-level name — even
-    ones defined after the function — before it can classify a write.
-    """
+    """Distill a parsed :class:`ModuleInfo` into its plain-data summary."""
     summary = ModuleSummary(
         display_path=info.display_path,
         module=info.module,
         noqa=dict(info.noqa),
         module_frame=info.module_frame,
         has_frame_pragmas=bool(info.frame_pragmas),
-        conc_ambient=info.module_conc_ambient,
     )
     is_package = info.path.name == "__init__.py"
-    #: deferred function walks: (node, qualname, class name, attr types).
-    pending: List[Tuple[ast.AST, str, Optional[str], Dict[str, str]]] = []
 
     only_imports = True
     saw_docstring = False
@@ -536,46 +459,24 @@ def summarize_module(info: ModuleInfo) -> ModuleSummary:
                         if a.name != "*":
                             summary.defined_names.add(a.asname or a.name)
 
-    def module_aliases() -> Dict[str, str]:
-        return dict(info.import_aliases)
-
-    def walk_function(
-        node, qualname: str, class_name: Optional[str], attr_types: Dict[str, str]
-    ) -> None:
+    def walk_function(node, qualname: str, class_name: Optional[str]) -> None:
         fn = FunctionSummary(
             qualname=qualname,
             line=node.lineno,
             det_reviewed=node.lineno in info.det_reviewed_lines,
             frame=info.frame_pragmas.get(node.lineno),
             params=[a.arg for a in node.args.args if a.arg not in ("self", "cls")],
-            conc_ambient=(
-                node.lineno in info.conc_ambient_lines or info.module_conc_ambient
-            ),
-            exc_boundary=node.lineno in info.exc_boundary_lines,
         )
-        aliases = module_aliases()
-        walker = _FunctionWalker(info, fn, aliases, class_name)
+        walker = _FunctionWalker(info, fn, dict(info.import_aliases), class_name)
         for stmt in node.body:
             walker.visit(stmt)
         # Local imports recorded for the import graph too.
         for stmt in ast.walk(node):
             if isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 record_import(stmt, qualname)
-        # Flow layer: CFG-derived facts + type-sharpened call edges,
-        # computed against the complete module symbol table.
-        plain = Resolver(aliases, class_name)
-        local_types = local_constructor_types(node, plain)
-        sharp = Resolver(aliases, class_name, attr_types, local_types)
-        flow, typed = compute_flow(node, sharp, plain, set(summary.defined_names))
-        fn.typed_calls = typed
-        fn.flow = flow if not flow.empty() else None
         summary.functions[qualname] = fn
 
-    def walk_body(
-        body: Sequence[ast.stmt],
-        class_name: Optional[str] = None,
-        attr_types: Optional[Dict[str, str]] = None,
-    ) -> None:
+    def walk_body(body: Sequence[ast.stmt], class_name: Optional[str] = None) -> None:
         nonlocal only_imports, saw_docstring
         for node in body:
             if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -587,7 +488,7 @@ def summarize_module(info: ModuleInfo) -> ModuleSummary:
                     summary.defined_names.add(node.name)
                     if node.name == "__getattr__":
                         summary.has_getattr = True
-                pending.append((node, qual, class_name, attr_types or {}))
+                walk_function(node, qual, class_name)
             elif isinstance(node, ast.ClassDef) and class_name is None:
                 only_imports = False
                 summary.defined_names.add(node.name)
@@ -596,11 +497,7 @@ def summarize_module(info: ModuleInfo) -> ModuleSummary:
                     for n in node.body
                     if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
                 ]
-                walk_body(
-                    node.body,
-                    class_name=node.name,
-                    attr_types=_class_attr_types(node, Resolver(module_aliases())),
-                )
+                walk_body(node.body, class_name=node.name)
             elif isinstance(node, (ast.Assign, ast.AnnAssign)) and class_name is None:
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 names = [t.id for t in targets if isinstance(t, ast.Name)]
@@ -636,13 +533,6 @@ def summarize_module(info: ModuleInfo) -> ModuleSummary:
 
     walk_body(info.tree.body)
     summary.reexport_only = only_imports and bool(summary.imports)
-
-    # Phase two: function bodies, now that defined_names is complete.
-    for node, qual, cls, attr_types in pending:
-        walk_function(node, qual, cls, attr_types)
-    summary.module_conc_events = module_conc_events(
-        info.tree, Resolver(module_aliases())
-    )
 
     # tracer.event("name", …) and registry.counter/gauge/histogram("name", …)
     # literal emissions anywhere in the file.

@@ -27,14 +27,6 @@ Beyond noqa, two pragma vocabularies feed the interprocedural passes:
   or a full-line comment for a whole module) — declares the coordinate
   frame of the bbox values a function consumes/produces (``->`` for
   converters); ``frame: any`` marks frame-polymorphic code.
-* ``conc: ambient`` (trailing on a ``def`` line, or a full-line
-  comment for a whole module) — the module-level state this code
-  writes is sanctioned ambient state (e.g. the fault-plan installer);
-  the concurrency pass does not blame writes here.
-* ``exc: boundary`` (trailing on a ``def`` line) — the function is a
-  reviewed fault boundary: typed faults may escape it even though it
-  is not in the ``ISOLATION_SITES`` registry (e.g. test harnesses
-  driving the pipeline directly).
 """
 
 from __future__ import annotations
@@ -60,13 +52,6 @@ _DET_REVIEWED_RE = re.compile(r"#\s*det:\s*reviewed\b")
 _FRAME_PRAGMA_RE = re.compile(
     r"#\s*frame:\s*(?P<src>[A-Za-z_]\w*)(?:\s*->\s*(?P<dst>[A-Za-z_]\w*))?"
 )
-
-#: ``conc: ambient`` — sanctioned module-state writes (trailing on a
-#: ``def`` line for one function, full-line comment for the module).
-_CONC_AMBIENT_RE = re.compile(r"#\s*conc:\s*ambient\b")
-
-#: Trailing ``exc: boundary`` — reviewed fault boundary on a ``def``.
-_EXC_BOUNDARY_RE = re.compile(r"#\s*exc:\s*boundary\b")
 
 #: Directory names pruned from discovery.  ``fixtures`` holds test
 #: inputs with *intentional* violations (tests copy them to a tmp dir
@@ -180,25 +165,6 @@ class ModuleInfo:
                     self.module_frame = src
             else:
                 self.frame_pragmas[i] = (src, dst)
-        #: lines with a trailing ``conc: ambient`` pragma (functions
-        #: whose module-state writes are sanctioned).
-        self.conc_ambient_lines: Set[int] = set()
-        #: full-line ``# conc: ambient`` — the whole module is
-        #: sanctioned ambient state (e.g. the fault-plan installer).
-        self.module_conc_ambient: bool = False
-        for i, line in enumerate(self.lines, start=1):
-            if _CONC_AMBIENT_RE.search(line):
-                if line.strip().startswith("#"):
-                    self.module_conc_ambient = True
-                else:
-                    self.conc_ambient_lines.add(i)
-        #: lines with a trailing ``exc: boundary`` pragma (reviewed
-        #: fault boundaries outside the isolation-site registry).
-        self.exc_boundary_lines: Set[int] = {
-            i
-            for i, line in enumerate(self.lines, start=1)
-            if _EXC_BOUNDARY_RE.search(line) and not line.strip().startswith("#")
-        }
         #: alias -> fully qualified module/name, e.g. ``np`` ->
         #: ``numpy``, ``default_rng`` -> ``numpy.random.default_rng``.
         self.import_aliases: Dict[str, str] = _collect_aliases(self.tree)
@@ -389,8 +355,7 @@ def rekey_baseline(path: Path, renames: Dict[str, str]) -> int:
 
     Fingerprints embed both the rule id and the display path
     (``RULE::path::message``), so a file rename — or a rule being
-    superseded, like syntactic ``EXC001`` findings migrating to the
-    flow-sensitive ``EXC101`` — would orphan every entry and its
+    superseded by a renamed one — would orphan every entry and its
     findings would resurface.  A rename key that looks like a rule id
     (no path separator, matches ``parts[0]``) rewrites the rule
     component; anything else rewrites the path component.  Returns the

@@ -2,7 +2,7 @@
 
 Where a module-scope rule (:mod:`repro.analysis.lint.rules`) sees one
 file, a *pass* sees the whole program: the import graph, the call
-graph, and every module's summary at once.  Eight pass families ship:
+graph, and every module's summary at once.  Five pass families ship:
 
 * :mod:`~repro.analysis.passes.determinism` — ``DET1xx``: impurity
   propagated over the call graph from the pipeline's deterministic
@@ -17,19 +17,7 @@ graph, and every module's summary at once.  Eight pass families ship:
   against the trace schema registry;
 * :mod:`~repro.analysis.passes.obs` — ``OBS0xx``: statically
   discovered metric emissions checked for exhaustiveness against the
-  ``METRIC_NAMES`` observability registry;
-* :mod:`~repro.analysis.passes.concurrency` — ``CONC1xx``: worker-
-  reachable module-state writes, unpicklable values into process
-  boundaries, fork-after-thread / pool-at-import ordering hazards;
-* :mod:`~repro.analysis.passes.exceptions` — ``EXC1xx``: typed faults
-  escaping the isolation-site registry, silent swallow paths;
-* :mod:`~repro.analysis.passes.resources` — ``RSRC1xx``: acquire/
-  release path proofs for pools, handles and checkpoint logs.
-
-The CONC/EXC/RSRC trio is *flow-sensitive*: they consume the
-per-function CFG facts (:mod:`repro.analysis.flow`) the index computes
-and caches.  A warm run re-runs all of them without rebuilding a single
-CFG.
+  ``METRIC_NAMES`` observability registry.
 
 A pass declares the rule IDs it can emit (with docs for ``--explain``)
 and implements ``run(index, trees)``; ``trees`` lends out parsed
@@ -105,13 +93,10 @@ def register_pass(cls):
 def load_catalogue() -> Dict[str, Pass]:
     """Import every pass module (registering the catalogue) and return it."""
     from repro.analysis.passes import (  # noqa: F401
-        concurrency,
         determinism,
-        exceptions,
         exports,
         frames,
         obs,
-        resources,
         schema,
     )
 

@@ -12,13 +12,11 @@ One :func:`check_project` call does the whole job:
    Pass findings are never cached — they depend on the whole program.
 4. **Merge**: suppress pass findings on noqa'd lines, drop ``DET1xx``
    findings that duplicate a module-scope ``DET0xx`` hit at the same
-   location, and drop syntactic ``EXC001`` hits where a flow-sensitive
-   ``EXC1xx`` finding lands on the same line (whole-program analysis
-   supersedes the module rule there), sort everything by location.
+   location, sort everything by location.
 
 Each stage is timed into a :class:`~repro.instrument.PipelineMetrics`
 (``check.files``, ``check.index``, ``check.pass.<id>``) that the CLI
-renders with ``--timings``; ``stats["cfgs"]`` counts the CFGs built
+renders with ``--timings``; ``stats["parsed"]`` counts the files parsed
 this run (a warm cache run must report 0 — CI asserts it).
 
 Unparseable files become ``PARSE001`` findings instead of crashing the
@@ -32,7 +30,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis import cfg as _cfg
 from repro.analysis.cache import ResultCache, content_hash, engine_fingerprint
 from repro.analysis.index import ModuleSummary, ProjectIndex, summarize_module
 from repro.analysis.lint import rules as _rules  # noqa: F401  (registers the catalogue)
@@ -56,7 +53,7 @@ class CheckResult:
 
     violations: List[Violation] = field(default_factory=list)
     index: ProjectIndex = field(default_factory=lambda: ProjectIndex([]))
-    #: files scanned / parsed this run / served from cache / CFGs built.
+    #: files scanned / parsed this run / served from cache.
     stats: Dict[str, int] = field(default_factory=dict)
     #: per-stage / per-pass wall time (``check.*`` stage names).
     metrics: PipelineMetrics = field(default_factory=PipelineMetrics)
@@ -126,7 +123,6 @@ def check_project(
     parsed_infos: Dict[str, ModuleInfo] = {}
     metrics = PipelineMetrics()
     parsed = 0
-    cfg_base = _cfg.BUILD_COUNT
     with metrics.stage("check.files"):
         for path, display in files:
             data = path.read_bytes()
@@ -158,7 +154,6 @@ def check_project(
             violations.extend(file_violations)
             if cache is not None:
                 cache.put(display, sha, fingerprint, summary, file_violations)
-    cfgs_built = _cfg.BUILD_COUNT - cfg_base
 
     # ------------------------------------------------------------------
     # Whole-program stage.
@@ -184,7 +179,6 @@ def check_project(
     module_hit_lines = {
         (v.path, v.line) for v in violations if v.rule.startswith("DET0")
     }
-    pass_findings: List[Violation] = []
     for pass_obj in passes.values():
         pass_rules = [
             rule_id
@@ -203,20 +197,7 @@ def check_project(
                 summary = index.files.get(v.path)
                 if summary is not None and summary.suppressed(v.line, v.rule):
                     continue
-                pass_findings.append(v)
-
-    # The flow-sensitive exception pass supersedes the syntactic EXC001
-    # heuristic where both land on the same line — one finding, the one
-    # with the interprocedural story, instead of two.
-    exc_flow_lines = {
-        (v.path, v.line) for v in pass_findings if v.rule.startswith("EXC1")
-    }
-    violations = [
-        v
-        for v in violations
-        if not (v.rule == "EXC001" and (v.path, v.line) in exc_flow_lines)
-    ]
-    violations.extend(pass_findings)
+                violations.append(v)
 
     if cache is not None:
         cache.save()
@@ -227,7 +208,6 @@ def check_project(
         "cached": len(files) - parsed,
         "cache_hits": cache.hits if cache is not None else 0,
         "cache_misses": cache.misses if cache is not None else 0,
-        "cfgs": cfgs_built,
     }
     return CheckResult(
         violations=sorted(violations), index=index, stats=stats, metrics=metrics

@@ -7,12 +7,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.formfields import find_descriptor_span
 from repro.core.select import Extraction
+from repro.datasets import FormFace, form_faces
 from repro.doc import Document
 from repro.doc.document import group_into_lines
 from repro.doc.elements import TextElement
 from repro.geometry import BBox, enclosing_bbox
 from repro.nlp.fuzzy import normalize_for_match, similarity_ratio
-from repro.synth.tax_forms import FormFace, form_faces
 
 
 @dataclass

@@ -15,9 +15,9 @@ from typing import List
 from repro.baselines.extraction.base import sentence_units
 from repro.core.patterns import CURATED_PATTERNS
 from repro.core.select import Extraction
+from repro.datasets import entity_vocabulary
 from repro.doc import Document
 from repro.nlp.tokenizer import normalize_text
-from repro.synth.corpus import entity_vocabulary
 
 
 class ClausIEExtractor:

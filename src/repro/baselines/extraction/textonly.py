@@ -17,13 +17,13 @@ from typing import Dict, List, Optional
 from repro.baselines.extraction.base import TextUnit, descriptor_extractions
 from repro.core.patterns import CURATED_PATTERNS, SyntacticPattern
 from repro.core.select import Extraction
+from repro.datasets import entity_vocabulary
 from repro.doc import Document
 from repro.doc.document import group_into_lines
 from repro.geometry import BBox
 from repro.nlp.lesk import LeskCandidate, lesk_select
 from repro.nlp.tokenizer import normalize_text
 from repro.ocr.layout_analysis import tesseract_blocks
-from repro.synth.corpus import entity_vocabulary
 
 
 class TextOnlyExtractor:

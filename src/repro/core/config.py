@@ -38,12 +38,6 @@ class SegmentConfig:
     merge_gap_ratio: float = 0.8
     #: Minimum atoms for a region to be further segmented.
     min_atoms_to_split: int = 2
-    #: Evaluate candidate cuts through precomputed prefix-sum projection
-    #: profiles (O(1) per candidate) instead of rescanning the grid per
-    #: slope.  Decisions are byte-identical either way — the naive scan
-    #: stays available (``--naive-cuts``) as the A/B reference, verified
-    #: by the ``cut.decision`` ledger diff (docs/PERFORMANCE.md).
-    fast_cuts: bool = True
     #: Weight of the font-type dissimilarity term in the clustering
     #: distance — the paper's §7 future-work feature ("a generalizable
     #: feature to identify font-type").  0 reproduces the published

@@ -67,9 +67,8 @@ class VS2Segmenter:
         self.metrics = metrics if metrics is not None else PipelineMetrics()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Projection-profile store of the most recent :meth:`segment`
-        #: call (``None`` before the first call or with ``fast_cuts``
-        #: off); exposes window/rebuild counters for diagnostics.
-        self.profiles: Optional[ProfileStore] = None
+        #: call; exposes window/rebuild counters for diagnostics.
+        self.profiles = ProfileStore()
 
     # ------------------------------------------------------------------
     # Public API
@@ -100,7 +99,7 @@ class VS2Segmenter:
         root = LayoutNode(bbox=root_box, atoms=atoms, kind="root")
         # One ProfileStore per segmentation: applies the child-window
         # memoisation contract and counts window reuses vs rebuilds.
-        self.profiles = ProfileStore() if self.config.fast_cuts else None
+        self.profiles = ProfileStore()
         self._recurse(root, depth=0)
         tree = LayoutTree(root)
         if semantic_merging is None:
@@ -117,7 +116,7 @@ class VS2Segmenter:
     def logical_blocks(self, doc: Document) -> List[LayoutNode]:
         return self.segment(doc).logical_blocks()
 
-    def block_bboxes(self, doc: Document) -> List[BBox]:  # exc: boundary - public API; faults propagate unless run supervised
+    def block_bboxes(self, doc: Document) -> List[BBox]:
         """Tight boxes of text-bearing logical blocks (the proposals
         Table 5 evaluates)."""
         boxes = []
@@ -175,7 +174,7 @@ class VS2Segmenter:
         node: LayoutNode,
         parent_profile: Optional[RegionProfile] = None,
         parent_frame: Optional[BBox] = None,
-    ) -> Tuple[Optional[List[List[AtomicElement]]], Optional[RegionProfile]]:
+    ) -> Tuple[Optional[List[List[AtomicElement]]], RegionProfile]:
         """Split the area at its accepted visual delimiters.
 
         Both orientations are scanned; the orientation holding the
@@ -185,8 +184,7 @@ class VS2Segmenter:
         Returns ``(groups, profile)`` — the region's projection profile
         rides back up so the recursion can offer it to child regions
         (which window into it when the memoisation contract holds, see
-        :mod:`repro.geometry.profiles`).  ``profile`` is ``None`` on
-        the naive path (``config.fast_cuts`` off).
+        :mod:`repro.geometry.profiles`).
         """
         frame = node.bbox
         # Atom boxes rebased to the frame: the grid and every cut
@@ -198,9 +196,7 @@ class VS2Segmenter:
             max(frame.h, self.config.cell),
             self.config.cell,
         )
-        profile = None
-        if self.profiles is not None:
-            profile = self.profiles.profile_for(grid, frame, parent_profile, parent_frame)
+        profile = self.profiles.profile_for(grid, frame, parent_profile, parent_frame)
         text_boxes = [a.bbox.translate(-frame.x, -frame.y) for a in node.atoms if a.is_textual]
         ref_boxes = text_boxes or local_boxes
 

@@ -45,7 +45,7 @@ class WeightLearningResult:
     tried: int
 
 
-def learn_eq2_weights(  # exc: boundary - offline training entry; faults propagate unless run supervised
+def learn_eq2_weights(
     dataset: str,
     dev_docs: Sequence[Tuple[Document, Document, float]],
     step: float = 0.25,

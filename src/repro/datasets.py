@@ -225,10 +225,12 @@ def build_faces() -> List[FormFace]:
     return faces
 
 
+#: Per-process memo: build_faces is deterministic, so a forked worker
+#: that fills its own copy gets the same faces as the parent.
 _FACES_CACHE: Optional[List[FormFace]] = None
 
 
-def form_faces() -> List[FormFace]:  # conc: ambient - idempotent memo cache, safe to refill per process
+def form_faces() -> List[FormFace]:
     global _FACES_CACHE
     if _FACES_CACHE is None:
         _FACES_CACHE = build_faces()

@@ -217,7 +217,7 @@ class WordEmbedding:
 _DEFAULT: Optional[WordEmbedding] = None
 
 
-def default_embedding() -> WordEmbedding:  # conc: ambient - idempotent memo cache, safe to refill per process
+def default_embedding() -> WordEmbedding:
     """Process-wide shared default model (memo reuse matters: every
     node vector of Eq. 1 and Eq. 2 is a mean of word vectors, and a
     corpus repeats most of its words)."""

@@ -28,17 +28,13 @@ from __future__ import annotations
 # frame the caller discretised; no frame mixing happens here.
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.geometry.bbox import BBox
 from repro.geometry.grid import OccupancyGrid
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.geometry.profiles import RegionProfile
-
-from repro.geometry.profiles import interior_scores_from_flags, runs_of_flags
+from repro.geometry.profiles import RegionProfile, interior_scores_from_flags, runs_of_flags
 
 
 @dataclass(frozen=True)
@@ -250,7 +246,7 @@ def interior_cut_sets(
     orientation: str,
     origin: Tuple[float, float] = (0.0, 0.0),
     slopes: Sequence[float] = DEFAULT_SLOPES,
-    profile: Optional["RegionProfile"] = None,
+    profile: Optional[RegionProfile] = None,
 ) -> List[CutSet]:
     """Interior cut runs at the dominant slope.
 
@@ -260,46 +256,20 @@ def interior_cut_sets(
     Margins always admit cuts but never separate content; Algorithm 1
     only reasons about interior separators.
 
-    ``profile`` — a :class:`repro.geometry.profiles.RegionProfile` of
-    the *same* grid — switches to the prefix-sum fast path: identical
-    cut sets (the flags are integer-exact), evaluated in O(1) per
-    candidate instead of rescanning the grid per slope.  Without it
-    the original scan runs (the ``--naive-cuts`` A/B reference).
+    Every slope's score comes from one batched query of the grid's
+    prefix-sum projection profile (:mod:`repro.geometry.profiles`), and
+    runs and :class:`CutSet` objects are materialised only for the
+    winning slope.  ``profile`` is that profile when the caller already
+    holds one (VS2-Segment windows a child region into its parent's);
+    without it one is built for ``grid``.  The slope loop replicates
+    :func:`reference_interior_cut_sets` exactly (same iteration order,
+    same score, same straighter-slope tie-break — a non-empty run list
+    is equivalent to a positive score) and the flags are integer-exact,
+    so both return identical cut sets.
     """
-    if profile is not None:
-        return _interior_cut_sets_fast(grid, orientation, origin, slopes, profile)
-    n = grid.n_rows if orientation == "horizontal" else grid.n_cols
-    best: List[CutSet] = []
-    best_score = -1
-    for slope in slopes:
-        sets = consecutive_cut_sets(grid, orientation, origin, slope)
-        interior = [s for s in sets if s.start_index > 0 and s.start_index + s.size < n]
-        score = sum(s.size for s in interior)
-        # Prefer the straighter slope on ties (|slope| ascending order
-        # would need a sorted scan; DEFAULT_SLOPES is symmetric, so
-        # break ties toward the value closer to zero).
-        if score > best_score or (score == best_score and best and abs(slope) < abs(best[0].slope)):
-            best = interior
-            best_score = score
-    return best
-
-
-def _interior_cut_sets_fast(
-    grid: OccupancyGrid,
-    orientation: str,
-    origin: Tuple[float, float],
-    slopes: Sequence[float],
-    profile: "RegionProfile",
-) -> List[CutSet]:
-    """The prefix-sum fast path of :func:`interior_cut_sets`.
-
-    Replicates the naive slope-selection loop exactly (same iteration
-    order, same score, same straighter-slope tie-break — a non-empty
-    run list is equivalent to a positive score) but evaluates every
-    slope's score in one batched integral-image query and materialises
-    runs and :class:`CutSet` objects only for the winning slope.
-    """
-    if (profile.n_rows, profile.n_cols) != (grid.n_rows, grid.n_cols):
+    if profile is None:
+        profile = RegionProfile.for_grid(grid)
+    elif (profile.n_rows, profile.n_cols) != (grid.n_rows, grid.n_cols):
         raise ValueError("profile shape does not match the grid")
     flags = profile.slope_line_occupancy(orientation, tuple(slopes)) == 0
     scores = interior_scores_from_flags(flags)
@@ -321,3 +291,34 @@ def _interior_cut_sets_fast(
         for start, size in runs_of_flags(flags[best_idx])
         if start > 0 and start + size < n
     ]
+
+
+def reference_interior_cut_sets(
+    grid: OccupancyGrid,
+    orientation: str,
+    origin: Tuple[float, float] = (0.0, 0.0),
+    slopes: Sequence[float] = DEFAULT_SLOPES,
+) -> List[CutSet]:
+    """The per-slope scan that :func:`interior_cut_sets` must agree with.
+
+    Rescans the grid once per candidate slope
+    (:func:`consecutive_cut_sets`) and does no profile work, so it is
+    both the equivalence oracle and the speed baseline of the profile
+    path: ``tests/test_geometry_profiles.py``,
+    ``tests/test_cut_ledger.py`` and the bench-smoke gate compare
+    against it.
+    """
+    n = grid.n_rows if orientation == "horizontal" else grid.n_cols
+    best: List[CutSet] = []
+    best_score = -1
+    for slope in slopes:
+        sets = consecutive_cut_sets(grid, orientation, origin, slope)
+        interior = [s for s in sets if s.start_index > 0 and s.start_index + s.size < n]
+        score = sum(s.size for s in interior)
+        # Prefer the straighter slope on ties (|slope| ascending order
+        # would need a sorted scan; DEFAULT_SLOPES is symmetric, so
+        # break ties toward the value closer to zero).
+        if score > best_score or (score == best_score and best and abs(slope) < abs(best[0].slope)):
+            best = interior
+            best_score = score
+    return best

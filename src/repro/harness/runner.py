@@ -140,8 +140,7 @@ class ExperimentContext:
         ``tracer`` (:class:`repro.trace.Tracer`) receives the run's
         span tree and decision events; an optional ``config``
         (:class:`repro.core.config.VS2Config`) overrides the pipeline
-        configuration — ``repro bench --naive-cuts`` uses it to run
-        the A/B reference cut search.  An optional ``registry``
+        configuration.  An optional ``registry``
         (:class:`repro.obs.registry.MetricRegistry`) receives the run's
         labeled metrics; the outcome always carries one either way.
         """

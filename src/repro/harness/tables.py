@@ -27,6 +27,7 @@ from repro.core.holdout import (
 from repro.core.patterns import CURATED_PATTERNS, mine_entity_patterns
 from repro.synth.holdout import build_holdout_corpus
 from repro.core.select import Extraction
+from repro.datasets import entity_vocabulary
 from repro.doc import Document
 from repro.embeddings import default_embedding
 from repro.eval.metrics import (
@@ -40,7 +41,6 @@ from repro.harness.reporting import TableResult
 from repro.harness.runner import ExperimentContext
 from repro.instrument import PipelineMetrics
 from repro.ocr.layout_analysis import tesseract_blocks
-from repro.synth.corpus import entity_vocabulary
 from repro.synth.websites import HOLDOUT_SOURCES
 
 DATASETS = ("D1", "D2", "D3")
@@ -82,7 +82,7 @@ class _VS2Extractor:
             dataset, config.select, embedding=embedding, metrics=self.metrics
         )
 
-    def extract(self, observed: Document) -> List[Extraction]:  # exc: boundary - harness adapter; faults propagate unless run supervised
+    def extract(self, observed: Document) -> List[Extraction]:
         """Segment + select on an already cleaned document view."""
         with self.metrics.stage("segment") as t:
             blocks = self.segmenter.segment(observed).logical_blocks()

@@ -461,7 +461,7 @@ def ingest_pipeline_metrics(metrics, registry: "MetricRegistry") -> "MetricRegis
 # ----------------------------------------------------------------------
 # The process-default registry
 # ----------------------------------------------------------------------
-_DEFAULT = MetricRegistry()  # conc: ambient - per-process accumulator; workers drain theirs per chunk
+_DEFAULT = MetricRegistry()
 
 
 def get_registry() -> MetricRegistry:

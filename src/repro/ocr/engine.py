@@ -118,7 +118,7 @@ class OcrEngine:
             return self.profiles[doc.source]
         return NoiseProfile.for_source(doc.source)
 
-    def transcribe(self, doc: Document) -> OcrResult:  # exc: boundary - public API; faults propagate unless run supervised
+    def transcribe(self, doc: Document) -> OcrResult:
         """Transcribe one document under its source's noise profile."""
         fault = fault_site("ocr.transcribe")
         rng = np.random.default_rng((self.seed, _stable_hash(doc.doc_id)))

@@ -39,6 +39,7 @@ import builtins
 import logging
 import math
 import os
+import threading
 import time
 import traceback as _traceback
 from collections import deque
@@ -278,7 +279,7 @@ def _worker_main(
             factory() if factory is not None else _default_factory(dataset, config, tracer=tracer)
         )
         pipeline.metrics.drain()
-    except Exception as exc:  # noqa: EXC102 - boot failures are reported over the pipe, not raised
+    except Exception as exc:
         conn.send(("boot_failed", wid, type(exc).__name__, str(exc)))
         conn.close()
         return
@@ -358,11 +359,13 @@ class WarmProcessPool:
     built consistently with them.  Task replies drain the worker-side
     tracer/metrics/registry, so successive runs never double-count.
 
-    Boot it before starting threads where possible (the serve layer
-    does).  Replacements fork from whichever thread runs the dispatch
-    loop; that child only builds its own pipeline and talks over its
-    pipe, and CPython re-initialises the import and logging locks in
-    a forked child.  Not thread-safe: one run at a time.
+    :meth:`boot` refuses to fork while any other thread is alive: a
+    fork copies every lock such a thread may hold, so boot first (the
+    serve layer does).  Replacements fork from whichever thread runs
+    the dispatch loop, threads or not; that child only builds its own
+    pipeline and talks over its pipe, and CPython re-initialises the
+    import and logging locks in a forked child.  Not thread-safe: one
+    run at a time.
     """
 
     def __init__(
@@ -388,11 +391,20 @@ class WarmProcessPool:
 
         Raises ``OSError``/``ValueError`` when the platform cannot fork
         (``ChildProcessError`` when workers keep failing to boot);
-        callers degrade exactly as for a run that cannot spawn.  The
-        pool is closed before the error propagates."""
+        callers degrade exactly as for a run that cannot spawn.  Raises
+        ``RuntimeError`` naming the live threads when the caller is not
+        the only thread.  The pool is closed before the error
+        propagates."""
         defaults = SupervisionPolicy()
         spare = defaults.max_worker_replacements
         try:
+            if threading.active_count() > 1:
+                me = threading.current_thread()
+                others = [t.name for t in threading.enumerate() if t is not me]
+                raise RuntimeError(
+                    "WarmProcessPool.boot() would fork with other threads alive "
+                    f"({', '.join(sorted(others))}); boot the pool before starting threads"
+                )
             while True:
                 self._fill(defaults.boot_timeout_s)
                 if all(w.ready for w in self._workers.values()):

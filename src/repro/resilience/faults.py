@@ -312,9 +312,9 @@ class _FaultState:
         self.charged: set = set()
 
 
-# conc: ambient - the fault registry is per-process by design: install()
-# arms each supervised worker separately, and doc_scope/fault_site mutate
-# only this process's copy.
+# The fault registry is per-process by design: install() arms each
+# supervised worker separately, and doc_scope/fault_site mutate only this
+# process's copy.
 _STATE = _FaultState()
 
 

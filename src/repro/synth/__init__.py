@@ -28,12 +28,13 @@ The dataset *schemas* (entity vocabularies, D1 form faces) live one
 layer down in :mod:`repro.datasets`, shared with ``repro.core``.
 """
 
+from repro.datasets import D1_ENTITY_PREFIX, D2_ENTITIES, D3_ENTITIES
 from repro.synth.corpus import Corpus, generate_corpus, train_test_split
 from repro.synth.holdout import build_holdout_corpus
 from repro.synth.providers import FakeProvider
-from repro.synth.tax_forms import TaxFormGenerator, D1_ENTITY_PREFIX
-from repro.synth.posters import PosterGenerator, D2_ENTITIES
-from repro.synth.flyers import FlyerGenerator, D3_ENTITIES
+from repro.synth.tax_forms import TaxFormGenerator
+from repro.synth.posters import PosterGenerator
+from repro.synth.flyers import FlyerGenerator
 
 __all__ = [
     "Corpus",

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.doc import Document
-from repro.synth.flyers import D3_ENTITIES, FlyerGenerator
-from repro.synth.posters import D2_ENTITIES, PosterGenerator
+from repro.synth.flyers import FlyerGenerator
+from repro.synth.posters import PosterGenerator
 from repro.synth.tax_forms import TaxFormGenerator
 
 #: Paper corpus sizes (we default to smaller slices for tractable runs;
@@ -85,9 +85,3 @@ def train_test_split(
     train = [corpus.documents[int(i)] for i in order[:cut]]
     test = [corpus.documents[int(i)] for i in order[cut:]]
     return Corpus(corpus.dataset, train), Corpus(corpus.dataset, test)
-
-
-# ``entity_vocabulary`` moved to :mod:`repro.datasets` (the schema
-# layer shared with ``repro.core.select``); re-exported for callers of
-# the historical path.
-from repro.datasets import entity_vocabulary  # noqa: E402, F401  (re-export)

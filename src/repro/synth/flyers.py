@@ -15,20 +15,16 @@ balanced weights for D3).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
 from repro.colors import rgb_to_lab
-from repro.doc import Annotation, Document, ImageElement, TextElement
-from repro.geometry import BBox, enclosing_bbox
+from repro.doc import Annotation, Document, ImageElement
+from repro.geometry import BBox
 from repro.html import HtmlNode, el
 from repro.synth.layout import TextStyle, layout_line, layout_paragraph
 from repro.synth.providers import FakeProvider
-
-# The D3 entity vocabulary lives in :mod:`repro.datasets` (shared with
-# the extraction side); re-exported here for its historical path.
-from repro.datasets import D3_ENTITIES  # noqa: F401  (re-export)
 
 PAGE_W, PAGE_H = 850.0, 1100.0
 

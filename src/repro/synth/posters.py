@@ -21,9 +21,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.colors import LabColor, rgb_to_lab
+from repro.colors import rgb_to_lab
 from repro.doc import Annotation, Document, ImageElement, TextElement
-from repro.geometry import BBox, enclosing_bbox
+from repro.geometry import BBox
 from repro.synth.layout import (
     TextStyle,
     layout_centered_line,
@@ -31,10 +31,6 @@ from repro.synth.layout import (
     layout_paragraph,
 )
 from repro.synth.providers import FakeProvider
-
-# The D2 entity vocabulary lives in :mod:`repro.datasets` (shared with
-# the extraction side); re-exported here for its historical path.
-from repro.datasets import D2_ENTITIES  # noqa: F401  (re-export)
 
 PAGE_W, PAGE_H = 850.0, 1100.0
 

@@ -13,29 +13,16 @@ against the holdout corpus (§5.2.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List
 
 import numpy as np
 
 from repro.colors import rgb_to_lab
-from repro.doc import Annotation, Document, ImageElement, TextElement
+from repro.datasets import form_faces
+from repro.doc import Annotation, Document, ImageElement
 from repro.geometry import BBox
-from repro.synth.layout import TextStyle, layout_label_value, layout_line, word_width
+from repro.synth.layout import TextStyle, layout_label_value, layout_line
 from repro.synth.providers import FakeProvider
-
-# The D1 schema -- entity prefix, descriptor phrases, form titles and
-# the 20 deterministic faces -- lives in :mod:`repro.datasets` so the
-# extraction side can use it without importing this generator.  The
-# names are re-exported here for their historical import path.
-from repro.datasets import (  # noqa: F401  (re-exports)
-    D1_ENTITY_PREFIX,
-    FormFace,
-    FormField,
-    all_field_descriptors,
-    build_faces,
-    form_faces,
-)
 
 PAGE_W, PAGE_H = 850.0, 1100.0
 

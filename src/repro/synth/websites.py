@@ -18,9 +18,9 @@ from typing import Dict, List
 
 import numpy as np
 
+from repro.datasets import form_faces
 from repro.html import WrapperRule, el
 from repro.synth.providers import FakeProvider
-from repro.synth.tax_forms import form_faces
 
 
 def irs_field_tables(seed: int = 0) -> str:

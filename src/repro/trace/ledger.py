@@ -8,12 +8,13 @@ separator decision of a run — the **ledger**.  The same canonical form
 records any other decision events by name: ``("merge.decision",
 "merge.pass")`` is the ledger of the semantic-merging fixpoint.
 
-The ledger is the equivalence oracle of the ``segment.cuts`` fast path:
-the prefix-sum projection profiles (:mod:`repro.geometry.profiles`)
-must make *byte-identical* decisions to the naive grid rescan, so
-``make bench-smoke`` runs the same corpus twice — fast and
-``--naive-cuts`` — and requires :func:`ledger_diff` to come back empty
-(see ``docs/PERFORMANCE.md`` for the protocol).
+The ledger is the equivalence oracle of the ``segment.cuts`` profile
+path: the prefix-sum projection profiles (:mod:`repro.geometry.profiles`)
+must make *byte-identical* decisions to the per-slope reference scan
+(:func:`repro.geometry.cuts.reference_interior_cut_sets`), so
+``make bench-smoke`` runs the same corpus twice — once with the
+reference scan swapped in — and requires :func:`ledger_diff` to come
+back empty (see ``docs/PERFORMANCE.md`` for the protocol).
 
 Like the rest of :mod:`repro.trace`, this module imports nothing from
 the rest of :mod:`repro`, so any layer may use it.
@@ -55,7 +56,7 @@ def ledger_lines(roots: Sequence[Span], events: Sequence[str] = (CUT_DECISION,))
     """The ledger of ``events`` serialised canonically — one compact
     JSON object per decision, keys sorted, no timestamps.
     Byte-comparable across runs: equality of the default (cut) lines is
-    the fast-vs-naive acceptance gate.
+    the acceptance gate of the cut search against its reference scan.
     """
     return [
         json.dumps({"span": path, **attrs}, sort_keys=True)

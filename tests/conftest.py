@@ -1,13 +1,31 @@
 """Shared fixtures: small corpora and transcriptions, session-scoped
-so the expensive generation/segmentation work runs once."""
+so the expensive generation/segmentation work runs once, and a check
+that no test leaves a child process behind."""
 
 from __future__ import annotations
+
+import multiprocessing
 
 import pytest
 
 from repro.ocr import OcrEngine
 from repro.ocr.deskew import deskew
 from repro.synth import generate_corpus
+
+
+@pytest.fixture(autouse=True)
+def no_leftover_child_processes():
+    """Fail a test that leaves a ``multiprocessing`` child running.
+
+    A pool that is never closed leaks its workers and their pipes, and
+    neither raises a ``ResourceWarning``; this catches it.  Leftovers
+    are killed so the next test starts clean."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.kill()
+        child.join(timeout=10)
+    assert not left, f"test left child processes running: {left}"
 
 
 @pytest.fixture(scope="session")

@@ -303,220 +303,6 @@ class TestObsPass:
         assert run_tree(tree) == []
 
 
-class TestConcurrencyPass:
-    def test_worker_reachable_alias_write_flagged(self, tmp_path):
-        tree = copy_fixture(tmp_path, "conc_worker_global")
-        violations = run_tree(tree)
-        assert [v.rule for v in violations] == ["CONC101"]
-        v = violations[0]
-        assert v.path == "repro/core/cache.py"
-        assert "module state '_CACHE'" in v.message
-        assert "via alias 'cache'" in v.message
-        # The chain crosses the file boundary back to the worker entry.
-        assert "warm_cache <- _worker_main" in v.message
-
-    def test_module_rules_alone_cannot_see_it(self, tmp_path):
-        tree = copy_fixture(tmp_path, "conc_worker_global")
-        assert run_tree(tree, rule_ids=MODULE_RULES) == []
-
-    def test_conc_ambient_pragma_sanctions_the_writer(self, tmp_path):
-        tree = copy_fixture(tmp_path, "conc_worker_global")
-        cache = tree / "repro" / "core" / "cache.py"
-        cache.write_text(
-            cache.read_text().replace(
-                "def warm_cache(config):", "def warm_cache(config):  # conc: ambient"
-            )
-        )
-        assert run_tree(tree) == []
-
-    def test_write_without_worker_path_is_clean(self, tmp_path):
-        tree = copy_fixture(tmp_path, "conc_worker_global")
-        runner = tree / "repro" / "perf" / "runner.py"
-        runner.write_text("def _worker_main(config):\n    return config\n")
-        assert run_tree(tree) == []
-
-    def test_configured_worker_entries_exist_under_src(self):
-        """CONC101/102 find worker code through hard-coded names; a
-        rename must fail here instead of silently disarming the rules."""
-        import ast
-
-        from repro.analysis.passes.concurrency import BOUNDARY_MODULES, WORKER_ENTRIES
-
-        src = Path(__file__).resolve().parents[1] / "src"
-
-        def module_path(name):
-            path = src.joinpath(*name.split(".")).with_suffix(".py")
-            assert path.is_file(), f"{name} is not a module under src/"
-            return path
-
-        for module in BOUNDARY_MODULES:
-            module_path(module)
-        assert WORKER_ENTRIES
-        for module, names in WORKER_ENTRIES.items():
-            tree = ast.parse(module_path(module).read_text())
-            defined = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
-            for name in names:
-                assert name in defined, f"worker entry {module}.{name} is not a function"
-
-    def test_lambda_into_process_boundary(self, tmp_path):
-        tree = copy_fixture(tmp_path, "conc_pickle_boundary")
-        violations = run_tree(tree)
-        assert [v.rule for v in violations] == ["CONC102"]
-        v = violations[0]
-        assert "lambda" in v.message and "dispatch" in v.message
-        # dispatch_ok ships a module-level function: only one finding.
-        source_line = (tree / v.path).read_text().splitlines()[v.line - 1]
-        assert "pool.submit(handler, doc)" in source_line
-
-    def test_pickle_module_rules_alone_cannot_see_it(self, tmp_path):
-        tree = copy_fixture(tmp_path, "conc_pickle_boundary")
-        assert run_tree(tree, rule_ids=MODULE_RULES) == []
-
-    def test_fork_after_transitive_thread_start(self, tmp_path):
-        tree = copy_fixture(tmp_path, "conc_fork_after_thread")
-        violations = run_tree(tree)
-        assert [v.rule for v in violations] == ["CONC103"]
-        v = violations[0]
-        assert v.path == "repro/perf/pool.py"
-        # serve flagged (start via helper, then fork); serve_safe clean.
-        assert "in serve;" in v.message
-        assert "via start_watcher" in v.message
-
-    def test_fork_module_rules_alone_cannot_see_it(self, tmp_path):
-        tree = copy_fixture(tmp_path, "conc_fork_after_thread")
-        assert run_tree(tree, rule_ids=MODULE_RULES) == []
-
-    def test_pool_created_at_import_time(self, tmp_path):
-        tree = copy_fixture(tmp_path, "conc_import_pool")
-        violations = run_tree(tree)
-        assert [v.rule for v in violations] == ["CONC103"]
-        assert "at import time" in violations[0].message
-
-    def test_noqa_suppresses_conc_finding(self, tmp_path):
-        tree = copy_fixture(tmp_path, "conc_import_pool")
-        boot = tree / "repro" / "perf" / "boot.py"
-        boot.write_text(
-            boot.read_text().replace(
-                "POOL = ProcessPoolExecutor(2)",
-                "POOL = ProcessPoolExecutor(2)  # noqa: CONC103",
-            )
-        )
-        assert run_tree(tree) == []
-
-
-class TestExceptionFlowPass:
-    def test_fault_escapes_to_unguarded_root(self, tmp_path):
-        tree = copy_fixture(tmp_path, "exc_fault_escape")
-        violations = run_tree(tree)
-        assert [v.rule for v in violations] == ["EXC101"]
-        v = violations[0]
-        assert v.path == "repro/harness/entry.py"
-        # Blame lands on the leaky root only — the guarded sibling
-        # catches the type at the boundary and stays clean.
-        assert "segment_all" in v.message
-        assert "segment_guarded" not in v.message
-        assert "raised at repro/core/stage.py" in v.message
-        assert "segment_all -> cut_region" in v.message
-
-    def test_module_rules_alone_cannot_see_it(self, tmp_path):
-        tree = copy_fixture(tmp_path, "exc_fault_escape")
-        assert run_tree(tree, rule_ids=MODULE_RULES) == []
-
-    def test_exc_boundary_pragma_accepts_the_escape(self, tmp_path):
-        tree = copy_fixture(tmp_path, "exc_fault_escape")
-        entry = tree / "repro" / "harness" / "entry.py"
-        entry.write_text(
-            entry.read_text().replace(
-                "def segment_all(regions):",
-                "def segment_all(regions):  # exc: boundary",
-            )
-        )
-        assert run_tree(tree) == []
-
-    def test_silent_swallow_path_flagged(self, tmp_path):
-        tree = copy_fixture(tmp_path, "exc_silent_path")
-        violations = run_tree(tree)
-        assert [v.rule for v in violations] == ["EXC102"]
-        v = violations[0]
-        # drain records on one path only; drain_ok records on every
-        # path and must stay clean — a pure path property.
-        assert "in drain " in v.message
-        source_line = (tree / v.path).read_text().splitlines()[v.line - 1]
-        assert "except Exception as exc:" in source_line
-
-    def test_swallow_module_rules_alone_cannot_see_it(self, tmp_path):
-        tree = copy_fixture(tmp_path, "exc_silent_path")
-        assert run_tree(tree, rule_ids=MODULE_RULES) == []
-
-    def test_exc001_superseded_by_flow_finding_on_same_line(self, tmp_path):
-        (tmp_path / "repro").mkdir()
-        (tmp_path / "repro" / "ingest.py").write_text(
-            "class DocumentFailure(Exception):\n"
-            "    pass\n"
-            "\n"
-            "\n"
-            "def load(run, doc):\n"
-            "    try:\n"
-            "        return run(doc)\n"
-            "    except Exception:\n"
-            "        pass\n"
-        )
-        # Module rules alone: the syntactic EXC001.
-        module_only = run_tree(tmp_path, rule_ids=MODULE_RULES)
-        assert [v.rule for v in module_only] == ["EXC001"]
-        # Full catalogue: the flow-sensitive finding supersedes it —
-        # one finding on that line, not two.
-        full = run_tree(tmp_path)
-        assert [v.rule for v in full] == ["EXC102"]
-        assert full[0].line == module_only[0].line
-
-
-class TestResourceLifecyclePass:
-    def test_leaking_path_flagged_safe_variants_clean(self, tmp_path):
-        tree = copy_fixture(tmp_path, "rsrc_lifecycle")
-        violations = run_tree(tree)
-        assert [v.rule for v in violations] == ["RSRC101", "RSRC102"]
-        leak, reuse = violations
-        # flush_rows leaks on the early return; the with-block and the
-        # ownership-transferring return are exempt.
-        assert leak.path == "repro/harness/leak.py"
-        assert "file handle 'fh'" in leak.message and "flush_rows" in leak.message
-        source_line = (tree / leak.path).read_text().splitlines()[leak.line - 1]
-        assert 'open(path, "w")' in source_line
-        # write_tail uses the handle after every path closed it.
-        assert reuse.path == "repro/harness/reuse.py"
-        assert ".close()" in reuse.message
-        source_line = (tree / reuse.path).read_text().splitlines()[reuse.line - 1]
-        assert "fh.write(tail)" in source_line
-
-    def test_module_rules_alone_cannot_see_it(self, tmp_path):
-        tree = copy_fixture(tmp_path, "rsrc_lifecycle")
-        assert run_tree(tree, rule_ids=MODULE_RULES) == []
-
-    def test_releasing_every_path_fixes_the_leak(self, tmp_path):
-        tree = copy_fixture(tmp_path, "rsrc_lifecycle")
-        leak = tree / "repro" / "harness" / "leak.py"
-        leak.write_text(
-            leak.read_text().replace(
-                "    if not rows:\n        return 0\n",
-                "    if not rows:\n        fh.close()\n        return 0\n",
-            )
-        )
-        violations = run_tree(tree)
-        assert [v.rule for v in violations] == ["RSRC102"]
-
-    def test_noqa_suppresses_rsrc_finding(self, tmp_path):
-        tree = copy_fixture(tmp_path, "rsrc_lifecycle")
-        reuse = tree / "repro" / "harness" / "reuse.py"
-        reuse.write_text(
-            reuse.read_text().replace(
-                "fh.write(tail)", "fh.write(tail)  # noqa: RSRC102"
-            )
-        )
-        violations = run_tree(tree)
-        assert [v.rule for v in violations] == ["RSRC101"]
-
-
 class TestRealTreeIsClean:
     def test_repo_passes_its_own_whole_program_analysis(self):
         repo = Path(__file__).resolve().parents[1]

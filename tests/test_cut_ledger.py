@@ -1,12 +1,15 @@
 """The ``cut.decision`` ledger: canonical serialisation, diffing, and
-the fast-vs-naive equivalence oracle on a real (tiny) pipeline run."""
+the profile-vs-reference equivalence oracle on a real (tiny) pipeline
+run."""
 
 from __future__ import annotations
 
 import json
 
+import repro.core.segment as segment
 from repro.core.config import VS2Config
 from repro.core.pipeline import VS2Pipeline
+from repro.geometry.cuts import reference_interior_cut_sets
 from repro.ocr.cache import TranscriptionCache
 from repro.synth import generate_corpus
 from repro.trace import Tracer, cut_ledger, ledger_diff, ledger_lines
@@ -85,17 +88,31 @@ def test_ledger_diff_empty_on_identical_and_names_divergence():
     assert any(line.startswith("+") and "delimiter" in line for line in diff)
 
 
-def test_fast_and_naive_ledgers_identical_on_small_corpus():
+class _NoProfiles:
+    """Stands in for ``ProfileStore``: the reference side builds no
+    projection profile."""
+
+    def profile_for(self, *args):
+        return None
+
+
+def _reference_cuts(grid, orientation, profile=None):
+    return reference_interior_cut_sets(grid, orientation)
+
+
+def test_fast_and_naive_ledgers_identical_on_small_corpus(monkeypatch):
     """The acceptance gate in miniature: two docs of D2 segmented with
-    the prefix-sum fast path and the naive rescan (sharing one
-    transcription cache, so both see identical observed documents) must
-    make byte-identical cut decisions."""
+    the prefix-sum profiles and with the per-slope reference scan
+    swapped in (sharing one transcription cache, so both see identical
+    observed documents) must make byte-identical cut decisions."""
     corpus = generate_corpus("D2", n=2, seed=0)
     cache = TranscriptionCache()
     ledgers = {}
     for fast in (True, False):
+        if not fast:
+            monkeypatch.setattr(segment, "ProfileStore", _NoProfiles)
+            monkeypatch.setattr(segment, "interior_cut_sets", _reference_cuts)
         config = VS2Config.for_dataset("D2")
-        config.segment.fast_cuts = fast
         tracer = Tracer()
         pipeline = VS2Pipeline("D2", config=config, cache=cache, tracer=tracer)
         for i, doc in enumerate(corpus):
@@ -103,5 +120,5 @@ def test_fast_and_naive_ledgers_identical_on_small_corpus():
                 pipeline.run(doc)
         ledgers[fast] = ledger_lines(tracer.drain())
     assert ledgers[True], "no cut.decision events traced"
-    diff = ledger_diff(ledgers[False], ledgers[True], "naive-cuts", "fast-cuts")
-    assert not diff, "fast and naive cut decisions diverge:\n" + "\n".join(diff[:20])
+    diff = ledger_diff(ledgers[False], ledgers[True], "reference-cuts", "profile-cuts")
+    assert not diff, "profile and reference cut decisions diverge:\n" + "\n".join(diff[:20])

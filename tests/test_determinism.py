@@ -28,6 +28,10 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 #: deskew + sloped-cut paths are exercised, small enough to run twice.
 SMOKE = {"dataset": "D2", "n": 4, "seed": 3}
 
+#: Smaller corpora of the other two datasets: D1 runs form-field
+#: selection (and the per-process form-face memo), D3 the flyer wiring.
+SMOKE_SIZES = {"D1": 2, "D2": SMOKE["n"], "D3": 2}
+
 
 def canonical_bytes(outcome) -> bytes:
     """Byte-stable JSON of a corpus run's observable output."""
@@ -51,53 +55,82 @@ def canonical_bytes(outcome) -> bytes:
     return json.dumps(payload, sort_keys=True).encode()
 
 
-def run_smoke(workers: int) -> bytes:
-    corpus = list(generate_corpus(SMOKE["dataset"], n=SMOKE["n"], seed=SMOKE["seed"]))
-    outcome = CorpusRunner(SMOKE["dataset"], workers=workers).run(corpus)
+def smoke_corpus(dataset: str):
+    return list(generate_corpus(dataset, n=SMOKE_SIZES[dataset], seed=SMOKE["seed"]))
+
+
+def run_smoke(workers: int, dataset: str = SMOKE["dataset"]) -> bytes:
+    outcome = CorpusRunner(dataset, workers=workers).run(smoke_corpus(dataset))
     assert not outcome.failures
     return canonical_bytes(outcome)
 
 
-def run_traced_smoke(workers: int) -> bytes:
+def run_traced_smoke(workers: int, dataset: str = SMOKE["dataset"]) -> bytes:
     """The normalised JSONL event log of a traced smoke run: a pure
     function of the decisions taken, independent of wall time and of
     which process produced each span."""
     from repro.trace import Tracer, jsonl_lines
 
     tracer = Tracer()
-    corpus = list(generate_corpus(SMOKE["dataset"], n=SMOKE["n"], seed=SMOKE["seed"]))
-    outcome = CorpusRunner(SMOKE["dataset"], workers=workers, tracer=tracer).run(corpus)
+    outcome = CorpusRunner(dataset, workers=workers, tracer=tracer).run(smoke_corpus(dataset))
     assert not outcome.failures
     return ("\n".join(jsonl_lines(tracer.drain(), normalize=True)) + "\n").encode()
 
 
 class TestDeterminism:
+    """Reruns and serial vs ``--workers 2`` agree to the byte.  A
+    worker that kept module-level state feeding its output (a memo
+    that changes an extraction) would diverge from the serial run,
+    which sees every document in one process.  The subclasses below
+    repeat each test on D1 and D3."""
+
+    dataset = "D2"
+
     def test_serial_rerun_byte_identical(self):
-        assert run_smoke(workers=1) == run_smoke(workers=1)
+        assert run_smoke(1, self.dataset) == run_smoke(1, self.dataset)
 
     @pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
     def test_parallel_byte_identical_to_serial(self):
-        assert run_smoke(workers=1) == run_smoke(workers=2)
+        assert run_smoke(1, self.dataset) == run_smoke(2, self.dataset)
+
+
+class TestDeterminismD1(TestDeterminism):
+    dataset = "D1"
+
+
+class TestDeterminismD3(TestDeterminism):
+    dataset = "D3"
+
 
 class TestTraceDeterminism:
     """The trace is part of the determinism contract: once timestamps
     are normalised away, the event log depends only on the pipeline's
     decisions — so serial and multi-process traced runs must agree to
-    the byte."""
+    the byte.  The subclasses below repeat each test on D1 and D3."""
+
+    dataset = "D2"
 
     def test_traced_serial_rerun_byte_identical(self):
-        assert run_traced_smoke(workers=1) == run_traced_smoke(workers=1)
+        assert run_traced_smoke(1, self.dataset) == run_traced_smoke(1, self.dataset)
 
     @pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
     def test_traced_parallel_byte_identical_to_serial(self):
-        assert run_traced_smoke(workers=1) == run_traced_smoke(workers=2)
+        assert run_traced_smoke(1, self.dataset) == run_traced_smoke(2, self.dataset)
 
     def test_traced_log_covers_every_document(self):
-        log = run_traced_smoke(workers=1).decode()
-        for index in range(SMOKE["n"]):
+        log = run_traced_smoke(1, self.dataset).decode()
+        for index in range(SMOKE_SIZES[self.dataset]):
             assert f"doc[{index}]" in log
         for family in ("cut.decision", "merge.", "pareto.front", "select.decision"):
             assert family in log
+
+
+class TestTraceDeterminismD1(TestTraceDeterminism):
+    dataset = "D1"
+
+
+class TestTraceDeterminismD3(TestTraceDeterminism):
+    dataset = "D3"
 
 
 class TestFaultDeterminism:
@@ -116,9 +149,7 @@ class TestFaultDeterminism:
     def run_supervised_smoke(self, workers: int):
         from repro.resilience import FaultPlan, SupervisionPolicy
 
-        corpus = list(
-            generate_corpus(SMOKE["dataset"], n=SMOKE["n"], seed=SMOKE["seed"])
-        )
+        corpus = smoke_corpus(SMOKE["dataset"])
         runner = CorpusRunner(
             SMOKE["dataset"],
             workers=workers,

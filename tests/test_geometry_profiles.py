@@ -1,6 +1,7 @@
 """Prefix-sum projection profiles (``repro.geometry.profiles``): exact
-equivalence with the naive grid rescan, the child-window memoisation
-contract, and the degenerate shapes the recursion actually produces."""
+equivalence with the per-slope reference rescan, the child-window
+memoisation contract, and the degenerate shapes the recursion actually
+produces."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from repro.geometry.cuts import (
     find_horizontal_cuts,
     find_vertical_cuts,
     interior_cut_sets,
+    reference_interior_cut_sets,
 )
 from repro.geometry.grid import OccupancyGrid
 from repro.geometry.profiles import (
@@ -67,7 +69,7 @@ def test_single_cell_region():
             )
             # A 1-cell region has no interior.
             assert interior_cut_sets(grid, orientation, profile=profile) == []
-            assert interior_cut_sets(grid, orientation) == []
+            assert reference_interior_cut_sets(grid, orientation) == []
 
 
 def test_fully_occupied_region_has_no_cuts():
@@ -86,7 +88,7 @@ def test_fully_empty_region_has_no_interior_cuts():
     profile = RegionProfile.for_grid(grid)
     assert profile.cut_flags("horizontal").all()
     assert interior_cut_sets(grid, "horizontal", profile=profile) == []
-    assert interior_cut_sets(grid, "horizontal") == []
+    assert reference_interior_cut_sets(grid, "horizontal") == []
 
 
 def test_interior_scores_from_flags_edges():
@@ -193,8 +195,9 @@ def test_fast_cut_search_matches_naive_on_random_grids(n_rows, n_cols, data):
         )
         assert np.array_equal(profile.cut_flags(orientation, 0.1), naive_flags)
         fast = interior_cut_sets(grid, orientation, profile=profile)
-        naive = interior_cut_sets(grid, orientation)
+        naive = reference_interior_cut_sets(grid, orientation)
         assert fast == naive
+        assert interior_cut_sets(grid, orientation) == naive
 
 
 @settings(max_examples=30, deadline=None)
@@ -215,8 +218,9 @@ def test_fast_cut_search_matches_naive_on_random_layouts(n_boxes, data):
     profile = RegionProfile.for_grid(grid)
     for orientation in ("horizontal", "vertical"):
         fast = interior_cut_sets(grid, orientation, profile=profile)
-        naive = interior_cut_sets(grid, orientation)
+        naive = reference_interior_cut_sets(grid, orientation)
         assert fast == naive
+        assert interior_cut_sets(grid, orientation) == naive
 
 
 def test_fast_path_rejects_shape_mismatch():

@@ -186,7 +186,7 @@ class TestLesk:
             lesk_select([], "event_title")
 
     def test_all_datasets_have_glosses(self):
-        from repro.synth.corpus import entity_vocabulary
+        from repro.datasets import entity_vocabulary
 
         for ds in ("D2", "D3"):
             for entity in entity_vocabulary(ds):

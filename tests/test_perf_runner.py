@@ -8,6 +8,9 @@ import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import threading
 
 import pytest
 
@@ -435,6 +438,40 @@ class TestWarmProcessPool:
         pool.boot()  # a drained pool can boot again
         assert pool.booted
         pool.close()
+
+    def test_boot_refuses_to_fork_beside_a_live_thread(self):
+        """A fork copies every lock another thread may hold into the
+        child; boot() names the live thread and forks nothing."""
+        from repro.perf import WarmProcessPool
+
+        release = threading.Event()
+        bystander = threading.Thread(target=release.wait, name="bystander")
+        bystander.start()
+        pool = WarmProcessPool("D2", workers=2)
+        try:
+            with pytest.raises(RuntimeError, match="bystander"):
+                pool.boot()
+        finally:
+            release.set()
+            bystander.join(timeout=10)
+        assert not bystander.is_alive()
+        assert not pool.booted
+        assert multiprocessing.active_children() == []
+
+    def test_importing_the_program_starts_no_process_or_thread(self):
+        """A pool or thread created at import time would fork before
+        any caller could boot first."""
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        probe = (
+            "import multiprocessing, threading; "
+            "import repro.core.pipeline, repro.perf.runner, repro.serve; "
+            "print(len(multiprocessing.active_children()), threading.active_count())"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.split() == ["0", "1"]
 
 
 # ----------------------------------------------------------------------

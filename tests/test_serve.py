@@ -678,6 +678,7 @@ class TestServeHTTP:
             with urllib.request.urlopen(request, timeout=60) as resp:
                 return resp.status
         except urllib.error.HTTPError as err:
+            err.close()
             return err.code
 
     def test_killed_worker_is_replaced_while_serving(self, tmp_path):
@@ -733,6 +734,7 @@ class TestServeHTTP:
             )
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(request, timeout=30)
+            err.value.close()
             assert err.value.code == 400
         finally:
             os.killpg(os.getpgid(proc.pid), signal.SIGTERM)

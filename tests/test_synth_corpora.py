@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.datasets import (
+    D2_ENTITIES,
+    D3_ENTITIES,
+    all_field_descriptors,
+    entity_vocabulary,
+    form_faces,
+)
 from repro.synth import generate_corpus, train_test_split
-from repro.synth.corpus import entity_vocabulary
-from repro.synth.flyers import D3_ENTITIES
-from repro.synth.posters import D2_ENTITIES
-from repro.synth.tax_forms import all_field_descriptors, form_faces
 
 
 class TestDeterminism:
@@ -78,7 +81,7 @@ class TestD1Faces:
         assert len(set(descriptors)) == len(descriptors)
 
     def test_faces_deterministic(self):
-        from repro.synth.tax_forms import build_faces
+        from repro.datasets import build_faces
 
         a = build_faces()
         b = build_faces()
