@@ -28,9 +28,10 @@ run is one loop over ``(doc index, attempt)`` tasks:
   retry transient failures with virtual backoff, quarantine what keeps
   failing and checkpoint every resolved document (docs/RESILIENCE.md).
 
-When the platform cannot spawn processes (restricted sandboxes) or a
-run exhausts its replacement workers, the remaining tasks run
-in-process and the run records why (:attr:`CorpusRunResult.degrade_reason`).
+When the platform cannot spawn processes (restricted sandboxes), a
+private pool would fork beside another live thread, or a run exhausts
+its replacement workers, the remaining tasks run in-process and the
+run records why (:attr:`CorpusRunResult.degrade_reason`).
 """
 
 from __future__ import annotations
@@ -339,6 +340,16 @@ def _lost_reason(worker: _Worker, message: tuple) -> str:
     return "worker exited while idle" if worker.ready else "worker died during boot"
 
 
+def _fork_hazard() -> Optional[str]:
+    """Why forking from the calling thread is unsafe right now, or
+    ``None``: a fork copies every lock another live thread may hold."""
+    if threading.active_count() == 1:
+        return None
+    me = threading.current_thread()
+    others = sorted(t.name for t in threading.enumerate() if t is not me)
+    return f"would fork with other threads alive ({', '.join(others)})"
+
+
 class WarmProcessPool:
     """The process engine: forked workers that build the pipeline once.
 
@@ -361,8 +372,9 @@ class WarmProcessPool:
 
     :meth:`boot` refuses to fork while any other thread is alive: a
     fork copies every lock such a thread may hold, so boot first (the
-    serve layer does).  Replacements fork from whichever thread runs
-    the dispatch loop, threads or not; that child only builds its own
+    serve layer does); a runner's private pool runs serially instead.
+    Replacements fork from whichever thread runs the dispatch loop,
+    threads or not; that child only builds its own
     pipeline and talks over its pipe, and CPython re-initialises the
     import and logging locks in a forked child.  Not thread-safe: one
     run at a time.
@@ -398,12 +410,10 @@ class WarmProcessPool:
         defaults = SupervisionPolicy()
         spare = defaults.max_worker_replacements
         try:
-            if threading.active_count() > 1:
-                me = threading.current_thread()
-                others = [t.name for t in threading.enumerate() if t is not me]
+            hazard = _fork_hazard()
+            if hazard:
                 raise RuntimeError(
-                    "WarmProcessPool.boot() would fork with other threads alive "
-                    f"({', '.join(sorted(others))}); boot the pool before starting threads"
+                    f"WarmProcessPool.boot() {hazard}; boot the pool before starting threads"
                 )
             while True:
                 self._fill(defaults.boot_timeout_s)
@@ -728,6 +738,11 @@ class _Run:
         chunk = 1 if self.policy is not None else (
             runner.chunk_size or max(1, math.ceil(len(tasks) / (runner.workers * 4)))
         )
+        pending: Deque[Task] = deque(tasks)
+        hazard = None if runner.pool is not None else _fork_hazard()
+        if hazard:  # a private pool would fork beside another thread
+            self._degrade(hazard, pending)
+            return
         pool = runner.pool or WarmProcessPool(
             runner.dataset,
             config=runner.config,
@@ -736,7 +751,6 @@ class _Run:
             trace_enabled=self.tracer.enabled,
             fault_plan=runner.fault_plan,
         )
-        pending: Deque[Task] = deque(tasks)
         try:
             try:
                 pool._fill(self.limits.boot_timeout_s)
