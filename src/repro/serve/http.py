@@ -94,13 +94,18 @@ def parse_extract_body(body: bytes) -> Tuple[int, Optional[str], Optional[float]
     if not isinstance(index, int) or isinstance(index, bool):
         raise RequestRejected(400, "'index' must be an integer")
     deadline_s = request.get("deadline_s")
-    if deadline_s is not None and not (
-        isinstance(deadline_s, (int, float))
-        and not isinstance(deadline_s, bool)
-        and math.isfinite(deadline_s)
-        and deadline_s > 0
-    ):
-        raise RequestRejected(400, "'deadline_s' must be a finite number > 0")
+    if deadline_s is not None:
+        try:
+            valid = (
+                isinstance(deadline_s, (int, float))
+                and not isinstance(deadline_s, bool)
+                and math.isfinite(deadline_s)
+                and deadline_s > 0
+            )
+        except OverflowError:  # an int too large for a float
+            valid = False
+        if not valid:
+            raise RequestRejected(400, "'deadline_s' must be a finite number > 0")
     request_id = request.get("request_id")
     if request_id is not None and not isinstance(request_id, str):
         raise RequestRejected(400, "'request_id' must be a string")
