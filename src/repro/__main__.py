@@ -16,29 +16,19 @@ Commands
 ``table``     regenerate one of the paper's tables (2, 5, 6, 7, 8, 9)
 ``figure``    regenerate Fig. 3 or Figs. 4/6
 ``render``    rasterise a synthetic document to a PPM image
-``bench``     run a corpus through the instrumented parallel runner,
-              write a ``BENCH_pipeline.json`` timing snapshot and
-              append a run record to ``BENCH_history.jsonl``
-``report``    judge the latest bench record against the committed
-              history with the declarative SLO rules and print the
-              pass/fail verdict table (non-zero exit on failure;
-              docs/OBSERVABILITY.md); ``--serve BENCH_serve.json``
-              judges a serve benchmark against the serve SLOs instead
 ``serve``     run the long-lived extraction service: warm worker
               pool, bounded admission queue with 429 shedding,
               per-request deadlines, per-stage circuit breakers and
               graceful SIGTERM drain (docs/SERVING.md)
-``loadgen``   replay a seeded arrival schedule against the service —
-              deterministic virtual-clock mode writes
-              ``BENCH_serve.json``; ``--host/--port`` fires the same
-              schedule at a live server over HTTP
 ``check``     run the repo's static-analysis rules (determinism,
               layering, coordinate-frame hygiene) over source trees;
               see docs/STATIC_ANALYSIS.md
 
-``extract`` and ``bench`` also take ``--metrics OUT.prom`` /
+``extract`` and ``serve`` also take ``--metrics OUT.prom`` /
 ``--metrics-jsonl OUT.jsonl`` (labeled metric-registry exports) and
 ``--flame OUT.txt`` (collapsed-stack flamegraph of the run's trace).
+Speed is measured by the repo benchmark (``perfbench/``,
+``BENCHMARK.json``), not by a subcommand.
 """
 
 from __future__ import annotations
@@ -222,58 +212,6 @@ class _Preloaded:
         return self._roots
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import pathlib
-
-    from repro.analysis.contracts import contracts_mode
-    from repro.harness import ExperimentContext, timing_table
-    from repro.perf.snapshot import delta_line, load_snapshot, write_snapshot
-
-    tracer = _build_tracer(args)
-    mode = contracts_mode()
-    context = ExperimentContext({args.dataset: args.n}, seed=args.seed)
-    outcome = context.run_pipeline(args.dataset, workers=args.workers, tracer=tracer)
-    print(timing_table(outcome.metrics, title="Pipeline per-stage timing").format())
-    # One-line drift vs the committed snapshot (read before ``--out``
-    # possibly overwrites the same file).
-    baseline_path = pathlib.Path("benchmarks/results/BENCH_pipeline.json")
-    try:
-        baseline = load_snapshot(baseline_path)
-    except (OSError, ValueError):
-        baseline = None
-    if baseline is not None:
-        print(delta_line(baseline, outcome.metrics, mode=mode))
-    for failure in outcome.failures:
-        print(f"!! {failure}", file=sys.stderr)
-    path = write_snapshot(
-        args.out,
-        outcome.metrics,
-        contracts=mode,
-        dataset=args.dataset,
-        n_docs=args.n,
-        workers=args.workers,
-        seed=args.seed,
-        failures=len(outcome.failures),
-    )
-    print(f"wrote {path}")
-    if args.history:
-        from repro.obs import append_history, history_record
-
-        record = history_record(
-            outcome.metrics,
-            dataset=args.dataset,
-            n_docs=args.n,
-            workers=args.workers,
-            seed=args.seed,
-            failures=len(outcome.failures),
-        )
-        history_path = append_history(args.history, record)
-        print(f"appended run record to {history_path}")
-    _export_metrics(outcome.registry, args)
-    _export_trace(tracer, args)
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Boot the extraction service and serve until drained."""
     from repro.serve import ExtractionService, ServeConfig, run_server
@@ -303,110 +241,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return code
 
 
-def _cmd_loadgen(args: argparse.Namespace) -> int:
-    """Replay a seeded load schedule; virtual mode writes the bench."""
-    import time
-
-    from repro.serve import (
-        ExtractionService,
-        LoadSpec,
-        ServeConfig,
-        bench_record,
-        run_http,
-        run_virtual,
-        write_bench,
-    )
-
-    spec = LoadSpec(
-        n_requests=args.n,
-        rate=args.rate,
-        seed=args.seed,
-        deadline_s=args.deadline,
-        doc_service_s=args.doc_service_s,
-        http_concurrency=args.http_concurrency,
-    )
-    if args.host:
-        counts = run_http(args.host, args.port, spec)
-        print(f"loadgen (http {args.host}:{args.port}): "
-              + ", ".join(f"{k}={v}" for k, v in counts.items()))
-        unknown = [k for k in counts if k not in ("200", "429", "504")]
-        return 1 if unknown else 0
-    config = ServeConfig(
-        dataset=args.dataset,
-        workers=args.workers,
-        queue_limit=args.queue_limit,
-        batch_max=args.batch_max,
-        max_attempts=args.max_attempts,
-    )
-    service = ExtractionService(config, fault_plan=_build_fault_plan(args))
-    started = time.monotonic()
-    responses, snapshot = run_virtual(service, spec)
-    duration = time.monotonic() - started
-    record = bench_record(
-        service, spec, responses, snapshot, duration_s=duration,
-        fault_spec=args.faults or "",
-    )
-    write_bench(args.out, record)
-    print(
-        f"loadgen (virtual, {spec.overload_factor:.1f}x offered load): "
-        + ", ".join(f"{k}={v}" for k, v in sorted(snapshot.items()))
-    )
-    print(f"wrote {args.out}")
-    _export_metrics(service.registry, args)
-    return 0 if snapshot.get("unaccounted") == 0 else 1
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    """Judge the newest bench history record against the rest."""
-    from repro.obs import evaluate, evaluate_serve, format_verdict, load_history
-
-    if getattr(args, "serve", None):
-        from repro.serve import load_bench
-
-        try:
-            bench = load_bench(args.serve)
-        except (OSError, ValueError) as exc:
-            print(f"!! {exc}", file=sys.stderr)
-            return 2
-        meta = bench.get("meta", {})
-        print(
-            f"serve health report — {meta.get('dataset', '?')} "
-            f"n={meta.get('n_requests', '?')} "
-            f"offered={meta.get('overload_factor', '?')}x capacity "
-            f"({args.serve})"
-        )
-        verdict = evaluate_serve(bench)
-        print(format_verdict(verdict))
-        return 0 if verdict.ok else 1
-
-    try:
-        records = load_history(args.history)
-    except ValueError as exc:
-        print(f"!! {exc}", file=sys.stderr)
-        return 2
-    if args.dataset:
-        records = [
-            r for r in records
-            if r.get("meta", {}).get("dataset") == args.dataset
-        ]
-    if not records:
-        print(f"no bench history records in {args.history}; run `repro bench` first",
-              file=sys.stderr)
-        return 2
-    current, history = records[-1], records[:-1]
-    if args.window and args.window > 0:
-        history = history[-args.window:]
-    meta = current.get("meta", {})
-    print(
-        f"run health report — {meta.get('dataset', '?')} "
-        f"n={meta.get('n_docs', '?')} workers={meta.get('workers', '?')} "
-        f"(latest of {len(records)} record(s) in {args.history})"
-    )
-    verdict = evaluate(current, history)
-    print(format_verdict(verdict))
-    return 0 if verdict.ok else 1
-
-
 def _cmd_table(args: argparse.Namespace) -> int:
     from repro.harness import (
         ExperimentContext,
@@ -428,10 +262,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
     )
     print(runner(context).format())
     if args.profile:
-        from repro.harness import timing_table
-
         print()
-        print(timing_table(context.metrics, title="Context per-stage timing").format())
+        print(context.metrics.format_table(title="Context per-stage timing"))
     return 0
 
 
@@ -677,47 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_table)
 
     p = sub.add_parser(
-        "bench",
-        help="instrumented corpus run + BENCH_pipeline.json timing snapshot",
-    )
-    _dataset_arg(p)
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=2)
-    p.add_argument("--out", default="benchmarks/results/BENCH_pipeline.json")
-    p.add_argument(
-        "--history", default="benchmarks/results/BENCH_history.jsonl",
-        help="JSONL run-history log this bench appends to "
-             "(empty string disables the append)",
-    )
-    _add_trace_flags(p)
-    _add_metrics_flags(p)
-    p.set_defaults(fn=_cmd_bench)
-
-    p = sub.add_parser(
-        "report",
-        help="SLO verdict of the latest bench record vs the committed history",
-    )
-    p.add_argument(
-        "--history", default="benchmarks/results/BENCH_history.jsonl",
-        help="JSONL run-history log to judge (written by `repro bench`)",
-    )
-    p.add_argument(
-        "--dataset", default=None, type=lambda s: s.upper(),
-        help="restrict the report to one dataset's records",
-    )
-    p.add_argument(
-        "--window", type=int, default=0,
-        help="use only the newest N baseline records (0 = all)",
-    )
-    p.add_argument(
-        "--serve", metavar="BENCH_serve.json", default=None,
-        help="judge a serve benchmark (written by `repro loadgen`) "
-             "against the serve SLOs instead of the bench history",
-    )
-    p.set_defaults(fn=_cmd_report)
-
-    p = sub.add_parser(
         "serve",
         help="run the long-lived extraction service (docs/SERVING.md)",
     )
@@ -749,41 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_flags(p)
     _add_metrics_flags(p)
     p.set_defaults(fn=_cmd_serve)
-
-    p = sub.add_parser(
-        "loadgen",
-        help="seeded load generator; virtual mode writes BENCH_serve.json",
-    )
-    _dataset_arg(p)
-    p.add_argument("--n", type=int, default=64, help="requests in the schedule")
-    p.add_argument("--rate", type=float, default=8.0,
-                   help="offered load in requests per virtual second")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--deadline", type=float, default=4.0,
-                   help="per-request deadline handed to the server")
-    p.add_argument("--doc-service-s", type=float, default=0.25,
-                   help="virtual service cost per document (capacity = 1/this)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="service worker count in virtual mode (accounting "
-                        "is identical for any value; docs/SERVING.md)")
-    p.add_argument("--queue-limit", type=int, default=16)
-    p.add_argument("--batch-max", type=int, default=4)
-    p.add_argument("--max-attempts", type=int, default=2)
-    p.add_argument("--faults", metavar="SPEC_OR_JSON", default=None,
-                   help="deterministic fault plan active during the run")
-    p.add_argument("--out", default="benchmarks/BENCH_serve.json",
-                   help="where the repro.bench.serve/1 snapshot goes")
-    p.add_argument("--host", default=None,
-                   help="fire the schedule at a live server instead "
-                        "(requires --port; no bench is written)")
-    p.add_argument("--port", type=int, default=0)
-    p.add_argument("--http-concurrency", type=int, default=8,
-                   help="socket concurrency in HTTP mode")
-    p.add_argument("--metrics", metavar="OUT.prom", default=None,
-                   help="write the run's metric registry as Prometheus exposition")
-    p.add_argument("--metrics-jsonl", metavar="OUT.jsonl", default=None,
-                   help="write the run's metric registry as a JSONL dump")
-    p.set_defaults(fn=_cmd_loadgen)
 
     p = sub.add_parser("figure", help="regenerate a paper figure")
     p.add_argument("number", choices=["3", "4"])

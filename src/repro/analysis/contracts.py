@@ -73,12 +73,6 @@ def contracts(on: bool = True) -> Iterator[None]:
         _enabled = previous
 
 
-def contracts_mode() -> str:
-    """``"off"`` or ``"checked"`` — the label bench snapshots record so
-    runs are only compared like for like."""
-    return "checked" if _enabled else "off"
-
-
 def checked(post: Callable[..., None]):
     """Decorate a function with a post-condition.
 
@@ -274,7 +268,6 @@ __all__ = [
     "checked",
     "contracts",
     "contracts_enabled",
-    "contracts_mode",
     "enable_contracts",
     "check_cut_sets_in_whitespace",
     "check_cut_siblings_disjoint",

@@ -440,7 +440,7 @@ class AdHocTimingRule(Rule):
 
     A bare ``time.perf_counter()`` pair measures one site and reports
     nowhere: the measurement is invisible to ``--profile`` tables,
-    latency histograms, BENCH snapshots and traces, and drifts from
+    latency histograms, metric exports and traces, and drifts from
     the stage vocabulary.  Core code must time through the shared
     instrumentation (``metrics.stage(...)`` context managers or
     ``tracer.span(...)``), which records into all of them at once.

@@ -2,7 +2,7 @@
 
 PR 8 gave the pipeline a labeled-metric layer: ``registry.counter(
 "repro.docs.processed", …)`` calls whose names downstream tooling (the
-Prometheus exporter, the JSONL dump, the run-health SLO engine) matches
+Prometheus exporter, the JSONL dump, the tests' metric asserts) matches
 on by string.  The declarations live in :data:`repro.obs.names.
 METRIC_NAMES`; a :class:`~repro.obs.registry.MetricRegistry` built with
 ``strict=True`` rejects undeclared names at runtime, but the ambient
@@ -18,7 +18,7 @@ This pass closes the loop statically, in both directions:
   ``KeyError``);
 * ``OBS003`` — a declared name no ``repro.*`` module ever emits
   (registry rot: exporters document a metric the pipeline no longer
-  produces, and SLO rules keyed on it never fire).
+  produces, and asserts keyed on it never see a sample).
 
 Emissions in tests and scripts are deliberately out of scope — a test
 driving a throwaway registry with a synthetic name is testing, not
@@ -61,7 +61,7 @@ class ObsPass(Pass):
             summary="declared metric names must be emitted",
             doc=(
                 "A name in METRIC_NAMES that no repro.* module ever emits is "
-                "registry rot: the exporters and SLO rules document a metric "
+                "registry rot: the exporters document a metric "
                 "the pipeline no longer produces, and dashboards keyed on it "
                 "stay empty forever."
             ),

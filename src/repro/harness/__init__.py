@@ -19,7 +19,7 @@ corpus size, the paper's *shape* (who wins, by how much, where it
 breaks) is what the accompanying benches assert.
 """
 
-from repro.harness.reporting import TableResult, timing_table
+from repro.harness.reporting import TableResult
 from repro.harness.runner import ExperimentContext
 from repro.harness.tables import (
     table2,
@@ -34,7 +34,6 @@ from repro.harness.figures import figure3, figure4_and_6
 
 __all__ = [
     "TableResult",
-    "timing_table",
     "ExperimentContext",
     "table2",
     "table5",

@@ -3,10 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.instrument import PipelineMetrics
+from typing import Dict, List, Optional
 
 
 @dataclass
@@ -72,45 +69,3 @@ def percent(value: Optional[float]) -> Optional[float]:
     fractions render as percentages via :func:`_cell`."""
     return value
 
-
-def timing_table(
-    metrics: "PipelineMetrics", title: str = "Per-stage timing"
-) -> TableResult:
-    """A :class:`TableResult` view of a per-stage metrics accumulator,
-    so profiling output renders with the same typography as the paper
-    tables (``repro bench`` and the bench-smoke snapshot use it)."""
-    table = TableResult(
-        title=title,
-        columns=[
-            "stage", "calls", "total s", "ms/call",
-            "p50 ms", "p95 ms", "max ms", "items",
-        ],
-    )
-
-    def ms_cell(value: Optional[float]) -> str:
-        # Preformatted: _cell renders floats in [-1, 1] as percentages.
-        return "-" if value is None else f"{value:.2f}"
-
-    for name in metrics.ordered_names():
-        stats = metrics[name]
-        table.add_row(**{
-            "stage": ("  " + name) if "." in name else name,
-            "calls": stats.calls,
-            "total s": f"{stats.seconds:.3f}",
-            "ms/call": f"{stats.ms_per_call:.2f}",
-            "p50 ms": ms_cell(stats.p50_ms),
-            "p95 ms": ms_cell(stats.p95_ms),
-            "max ms": ms_cell(stats.max_ms),
-            "items": stats.items,
-        })
-    table.notes.append(
-        f"summed top-level stage time {metrics.total_seconds():.3f}s; "
-        "dotted sub-stages nest inside their parents (excluded from the "
-        "sum), and the sum exceeds the corpus wall-time when workers overlap"
-    )
-    table.notes.append(
-        "p50/p95/max come from bounded log-scale latency histograms of "
-        "individually timed calls; dashes mean a stage only recorded "
-        "aggregate or instantaneous samples"
-    )
-    return table

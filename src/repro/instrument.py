@@ -25,15 +25,16 @@ dict lookup, so instrumentation stays on in production paths.
 
 Each stage additionally keeps a **bounded log-scale latency
 histogram** (:data:`HIST_BUCKETS` doubling buckets from 1 µs up) of
-its individually timed samples, so tables and ``BENCH_*.json``
-snapshots report p50/p95/max — a mean hides exactly the straggler
-documents the parallel runner exists for.
+its individually timed samples, so tables report p50/p95/max — a
+mean hides exactly the straggler documents the parallel runner exists
+for.
 
 Accumulators merge (:meth:`PipelineMetrics.merge`), which is how the
 parallel :class:`repro.perf.runner.CorpusRunner` folds per-worker
 timings back into one table, and they serialise to plain dicts
-(:meth:`PipelineMetrics.to_dict`) for ``BENCH_*.json`` snapshots; the
-dict round-trip is lossless (``from_dict(m.to_dict()) == m``).
+(:meth:`PipelineMetrics.to_dict`), which is how worker timings cross
+the pool's pipe; the dict round-trip is lossless
+(``from_dict(m.to_dict()) == m``).
 """
 
 from __future__ import annotations
@@ -424,12 +425,3 @@ class PipelineMetrics:
 
     def __str__(self) -> str:
         return self.format_table()
-
-
-def merge_all(parts: List[Optional[PipelineMetrics]]) -> PipelineMetrics:
-    """Merge many accumulators (``None`` entries skipped) into a new one."""
-    merged = PipelineMetrics()
-    for part in parts:
-        if part is not None:
-            merged.merge(part)
-    return merged

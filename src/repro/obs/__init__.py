@@ -1,8 +1,8 @@
-"""Unified metrics & run-health: the ``repro.obs`` subsystem.
+"""Unified metrics: the ``repro.obs`` subsystem.
 
 Where :mod:`repro.instrument` times pipeline stages and
 :mod:`repro.trace` records per-document decisions, ``repro.obs`` is
-the layer that makes a whole *run* observable and judgeable:
+the layer that makes a whole *run* observable:
 
 * :mod:`repro.obs.registry` — a process-wide
   :class:`~repro.obs.registry.MetricRegistry` of labeled counters,
@@ -17,9 +17,7 @@ the layer that makes a whole *run* observable and judgeable:
 * :mod:`repro.obs.resources` — RSS / CPU / tracemalloc high-water
   gauges per worker process;
 * :mod:`repro.obs.flame` — collapsed-stack flamegraph and
-  critical-path aggregation over :class:`repro.trace.Span` forests;
-* :mod:`repro.obs.health` — the ``BENCH_history.jsonl`` log and the
-  declarative SLO rules behind ``repro report``.
+  critical-path aggregation over :class:`repro.trace.Span` forests.
 
 Layering: ``repro.obs`` imports only the base layers
 (:mod:`repro.instrument`, :mod:`repro.trace`); the perf runner, the
@@ -45,21 +43,6 @@ from repro.obs.flame import (
     flamegraph_lines,
     write_flamegraph,
 )
-from repro.obs.health import (
-    DEFAULT_SLOS,
-    HISTORY_PATH,
-    HISTORY_SCHEMA,
-    SERVE_SLOS,
-    HealthVerdict,
-    SLORule,
-    VerdictRow,
-    append_history,
-    evaluate,
-    evaluate_serve,
-    format_verdict,
-    history_record,
-    load_history,
-)
 from repro.obs.names import KINDS, METRIC_NAMES, MetricDecl, declared
 from repro.obs.registry import (
     SCHEMA,
@@ -72,10 +55,6 @@ from repro.obs.registry import (
 from repro.obs.resources import rss_bytes, sample_resources
 
 __all__ = [
-    "DEFAULT_SLOS",
-    "HISTORY_PATH",
-    "HISTORY_SCHEMA",
-    "HealthVerdict",
     "HistogramValue",
     "JSONL_SCHEMA",
     "KINDS",
@@ -83,24 +62,15 @@ __all__ = [
     "MetricDecl",
     "MetricRegistry",
     "SCHEMA",
-    "SERVE_SLOS",
-    "SLORule",
-    "VerdictRow",
-    "append_history",
     "collapsed_stacks",
     "critical_path",
     "critical_path_lines",
     "declared",
-    "evaluate",
-    "evaluate_serve",
     "exposition_samples",
     "flamegraph_lines",
-    "format_verdict",
     "get_registry",
-    "history_record",
     "ingest_pipeline_metrics",
     "label_key",
-    "load_history",
     "parse_prometheus",
     "prometheus_name",
     "read_metrics_jsonl",

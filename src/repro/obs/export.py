@@ -11,8 +11,9 @@ flattening the writer uses.
 
 :func:`parse_prometheus` is a deliberately small parser for exactly
 what :func:`to_prometheus` emits — it exists so the exposition is
-validated by a round trip in the test suite and in ``make
-metrics-smoke``, not so the repo can scrape other people's endpoints.
+validated by a round trip in the test suite (including a
+``repro extract --metrics`` run), not so the repo can scrape other
+people's endpoints.
 
 Output is byte-stable for a given registry (names, label sets and
 buckets all sort), matching the repo's committed-artefact convention.
@@ -199,8 +200,7 @@ def parse_prometheus(text: str) -> List[Tuple[str, Tuple[Tuple[str, str], ...], 
 
 
 def validate_prometheus(path: Union[str, pathlib.Path]) -> int:
-    """Parse an exposition file; returns the sample count (``make
-    metrics-smoke`` calls this)."""
+    """Parse an exposition file; returns the sample count."""
     return len(parse_prometheus(pathlib.Path(path).read_text(encoding="utf-8")))
 
 

@@ -8,12 +8,12 @@ scale.  Two standard aggregations fix that:
   (``corpus;doc[0];segment;segment.cuts 8123``): one line per unique
   span *path*, value = summed **self time** in integer microseconds
   (children's time excluded, so a flamegraph renderer reconstructs the
-  hierarchy exactly).  ``repro extract/bench --flame out.txt`` writes
-  this; feed it to ``flamegraph.pl`` or speedscope.
+  hierarchy exactly).  ``repro extract --flame out.txt`` writes this;
+  feed it to ``flamegraph.pl`` or speedscope.
 * :func:`critical_path` — the chain of slowest children from the root
   down: the sequence of spans an infinitely parallel machine would
-  still have to wait for.  ``repro report`` prints it when given a
-  trace.
+  still have to wait for.  ``--flame`` prints it after writing the
+  stacks.
 
 Both are pure functions of the span forest; values are wall-clock and
 therefore environment data (never part of the determinism surface).

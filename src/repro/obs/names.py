@@ -2,7 +2,7 @@
 
 Mirrors the trace-event schema (:data:`repro.trace.tracer.EVENT_NAMES`)
 for the metrics layer: downstream consumers — the Prometheus
-exposition, ``repro report`` SLO rules, dashboards built on the JSONL
+exposition, the tests' metric asserts, dashboards built on the JSONL
 dump — key on these strings, so the set is closed.  ``repro check``
 verifies statically that every ``registry.counter("…")`` /
 ``.gauge("…")`` / ``.histogram("…")`` call site in a ``repro.*``

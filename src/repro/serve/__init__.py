@@ -11,8 +11,8 @@ never a hung slot), micro-batching into
 breakers that trip to the degradation ladder, and graceful SIGTERM
 drain.  :mod:`repro.serve.http` is the stdlib-asyncio HTTP front-end
 (``/health``, ``/ready``, ``/extract``, ``/metrics``);
-:mod:`repro.serve.loadgen` the deterministic virtual-clock load
-generator behind ``benchmarks/BENCH_serve.json``.
+:mod:`repro.serve.loadgen` the seeded load generator the tests drive
+it with (a deterministic virtual clock, or a live server over HTTP).
 
 See ``docs/SERVING.md`` for the lifecycle and overload semantics.
 """
@@ -20,16 +20,7 @@ See ``docs/SERVING.md`` for the lifecycle and overload semantics.
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.config import BreakerConfig, ServeConfig
 from repro.serve.http import ServeHTTP, run_server
-from repro.serve.loadgen import (
-    BENCH_SERVE_SCHEMA,
-    LoadSpec,
-    arrival_schedule,
-    bench_record,
-    load_bench,
-    run_http,
-    run_virtual,
-    write_bench,
-)
+from repro.serve.loadgen import LoadSpec, arrival_schedule, run_http, run_virtual
 from repro.serve.service import (
     BatchOutcome,
     ExtractionService,
@@ -38,7 +29,6 @@ from repro.serve.service import (
 )
 
 __all__ = [
-    "BENCH_SERVE_SCHEMA",
     "BatchOutcome",
     "BreakerConfig",
     "CircuitBreaker",
@@ -49,10 +39,7 @@ __all__ = [
     "ServeRequest",
     "ServeResponse",
     "arrival_schedule",
-    "bench_record",
-    "load_bench",
     "run_http",
     "run_server",
     "run_virtual",
-    "write_bench",
 ]

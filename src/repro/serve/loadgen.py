@@ -1,4 +1,4 @@
-"""Deterministic load generation and the ``BENCH_serve.json`` snapshot.
+"""Deterministic load generation for the extraction service.
 
 Two modes share one seeded arrival schedule
 (:func:`arrival_schedule` — exponential inter-arrival gaps plus a
@@ -19,31 +19,27 @@ on the spec's seed):
 
 * :func:`run_http` — the same schedule fired at a live server over
   real sockets (stdlib asyncio, bounded concurrency, no threads).
-  Used by ``make serve-smoke`` and the end-to-end tests; accounting
+  Used by the end-to-end tests (``make serve-smoke``); accounting
   still must close (every request resolves 200/429/504), latencies are
   real.
 
 The virtual service cost is deliberately **capacity-normalised**: a
 batch costs the same regardless of pool width, so a 1-worker and an
 N-worker server replay identical schedules (the worker count changes
-real wall time, which the bench records separately from the
-deterministic accounting).
+only real wall time).  Real-clock serving speed is measured by the
+repo benchmark's ``posters-serve`` workload (``perfbench/``).
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.serve.service import ExtractionService, ServeResponse
-
-#: Schema tag of the serve benchmark snapshot.
-BENCH_SERVE_SCHEMA = "repro.bench.serve/1"
 
 
 @dataclass(frozen=True)
@@ -133,89 +129,6 @@ def run_virtual(
     service.begin_drain(now)
     snapshot = service.finish_drain(now)
     return responses, snapshot
-
-
-def _quantile(sorted_values: List[float], q: float) -> float:
-    """Deterministic nearest-rank quantile (no interpolation)."""
-    if not sorted_values:
-        return 0.0
-    rank = min(len(sorted_values) - 1, max(0, int(np.ceil(q * len(sorted_values))) - 1))
-    return sorted_values[rank]
-
-
-def bench_record(
-    service: ExtractionService,
-    spec: LoadSpec,
-    responses: List[ServeResponse],
-    snapshot: Dict[str, int],
-    duration_s: float,
-    fault_spec: str = "",
-) -> Dict[str, Any]:
-    """The ``repro.bench.serve/1`` record: deterministic accounting and
-    virtual latency quantiles, plus a wall-clock per-stage digest from
-    the run's :class:`StageStats` histograms (environment-dependent,
-    kept for triage, never compared byte-for-byte)."""
-    latencies = sorted(
-        r.latency_s for r in responses if r.status in (200, 504)
-    )
-    submitted = max(snapshot.get("submitted", 0), 1)
-    stages: Dict[str, Any] = {}
-    for name, stats in sorted(service.metrics.stages.items()):
-        stages[name] = {
-            "calls": stats.calls,
-            "p50_s": stats.quantile_seconds(0.50),
-            "p95_s": stats.quantile_seconds(0.95),
-        }
-    return {
-        "schema": BENCH_SERVE_SCHEMA,
-        "meta": {
-            "dataset": service.config.dataset,
-            "workers": service.config.workers,
-            "seed": spec.seed,
-            "n_requests": spec.n_requests,
-            "rate_rps": spec.rate,
-            "deadline_s": spec.deadline_s,
-            "doc_service_s": spec.doc_service_s,
-            "overload_factor": spec.overload_factor,
-            "queue_limit": service.config.queue_limit,
-            "batch_max": service.config.batch_max,
-            "faults": fault_spec,
-        },
-        "accounting": snapshot,
-        "latency": {
-            "unit": "virtual_seconds",
-            "p50_s": _quantile(latencies, 0.50),
-            "p95_s": _quantile(latencies, 0.95),
-            "max_s": latencies[-1] if latencies else 0.0,
-        },
-        "duration_s": duration_s,
-        "throughput_docs_per_s": (
-            snapshot.get("ok", 0) / duration_s if duration_s > 0 else 0.0
-        ),
-        "shed_rate": snapshot.get("shed", 0) / submitted,
-        "timeout_rate": snapshot.get("timeout", 0) / submitted,
-        "stages": stages,
-    }
-
-
-def write_bench(path: str, record: Dict[str, Any]) -> None:
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
-
-
-def load_bench(path: str) -> Dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        record = json.load(fh)
-    if record.get("schema") != BENCH_SERVE_SCHEMA:
-        raise ValueError(
-            f"{path}: expected schema {BENCH_SERVE_SCHEMA!r}, got {record.get('schema')!r}"
-        )
-    return record
 
 
 # ----------------------------------------------------------------------

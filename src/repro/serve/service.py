@@ -43,7 +43,6 @@ from typing import Any, Deque, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.config import VS2Config
 from repro.obs.registry import MetricRegistry
-from repro.instrument import PipelineMetrics
 from repro.perf.runner import CorpusRunner, CorpusRunResult, WarmProcessPool
 from repro.resilience import faults as _faults
 from repro.serve.breaker import CircuitBreaker
@@ -145,7 +144,6 @@ class ExtractionService:
         self.registry = registry if registry is not None else MetricRegistry()
         self.tracer = tracer
         self.fault_plan = fault_plan
-        self.metrics = PipelineMetrics()
         self.corpus = generate_corpus(
             self.config.dataset, self.config.corpus_n, self.config.corpus_seed
         )
@@ -293,7 +291,6 @@ class ExtractionService:
             self.registry.counter("repro.serve.batches", outcome="fault").inc()
             return BatchOutcome(bid, None, fault=type(exc).__name__, open_stages=open_stages)
         result = self._runner(open_stages).run([t.doc for t in batch])
-        self.metrics.merge(result.metrics)
         self.registry.counter(
             "repro.serve.batches", outcome="degraded" if open_stages else "ok"
         ).inc()

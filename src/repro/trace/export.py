@@ -22,7 +22,7 @@ byte-identical files — the property ``tests/test_determinism.py``
 locks in.
 
 The ``validate_*`` helpers are the schema checks ``make trace-smoke``
-and the bench-smoke marker run against fresh output; they raise
+and the tracing tests run against fresh output; they raise
 ``ValueError`` with a pointed message rather than returning False, so
 failures name the offending record.
 """
@@ -196,7 +196,7 @@ def write_chrome_trace(
 
 
 # ----------------------------------------------------------------------
-# Validation (the trace-smoke / bench-smoke schema checks)
+# Validation (the trace-smoke schema checks)
 # ----------------------------------------------------------------------
 
 _JSONL_TYPES = {"header", "span_start", "event", "span_end"}

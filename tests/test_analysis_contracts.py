@@ -23,7 +23,6 @@ from repro.analysis.contracts import (
     checked,
     contracts,
     contracts_enabled,
-    contracts_mode,
     enable_contracts,
 )
 from repro.core.delimiters import identify_visual_delimiters
@@ -89,12 +88,6 @@ class TestCheckedDecorator:
             assert not contracts_enabled()
         finally:
             enable_contracts(before)
-
-    def test_contracts_mode_is_off_or_checked(self):
-        with contracts(False):
-            assert contracts_mode() == "off"
-        with contracts(True):
-            assert contracts_mode() == "checked"
 
     def test_importing_the_pipeline_does_not_load_the_linter(self):
         """The pipeline imports this module on every run; that must not

@@ -1,12 +1,12 @@
-"""Tests for :mod:`repro.obs` — registry algebra, exporters, run health.
+"""Tests for :mod:`repro.obs` — registry algebra and exporters.
 
 The contract under test is the tentpole claim of the observability
 layer: a :class:`MetricRegistry` is a *mergeable* value (associative,
 serialisation round-trips losslessly), the serial and parallel
 execution paths produce byte-identical normalised dumps, the
 ``repro.resilience.*`` counters mirror the supervision ledger exactly,
-the Prometheus exposition survives a parse round-trip, and an injected
-p95 regression flips ``repro report`` to a non-zero exit.
+the Prometheus exposition survives a parse round-trip, and a pooled
+``repro extract --metrics`` run exports a clean, complete registry.
 """
 
 from __future__ import annotations
@@ -25,14 +25,6 @@ from repro.obs.export import (
     to_prometheus,
     validate_prometheus,
     write_metrics_jsonl,
-)
-from repro.obs.health import (
-    DEFAULT_SLOS,
-    append_history,
-    evaluate,
-    format_verdict,
-    history_record,
-    load_history,
 )
 from repro.obs.names import METRIC_NAMES
 from repro.obs.registry import MetricRegistry, get_registry, ingest_pipeline_metrics
@@ -267,74 +259,31 @@ class TestPrometheusExport:
 
 
 # ----------------------------------------------------------------------
-# Run health: history + SLO verdicts
+# The CLI's metric exports
 # ----------------------------------------------------------------------
-def _metrics(p95_scale: float = 1.0) -> PipelineMetrics:
-    metrics = PipelineMetrics()
-    for _ in range(20):
-        metrics.record("segment", 0.010 * p95_scale, items=1)
-        metrics.record("clean", 0.005, items=1)
-    metrics.record("corpus", 0.4 * p95_scale)
-    return metrics
+@pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
+def test_extract_metrics_export_is_valid_and_clean(tmp_path, capsys):
+    """A pooled ``repro extract --metrics/--metrics-jsonl`` run: the
+    exposition parses, the dump loads, every document succeeded, and
+    every pipeline stage recorded latency samples."""
+    from repro.__main__ import main
 
-
-def _record(p95_scale: float = 1.0, **totals):
-    return history_record(
-        _metrics(p95_scale), dataset="D2", n_docs=20, workers=1, seed=3, **totals
-    )
-
-
-class TestRunHealth:
-    def test_healthy_run_passes(self):
-        history = [_record(), _record()]
-        verdict = evaluate(_record(), history)
-        assert verdict.ok and verdict.baseline_runs == 2
-        assert "PASS" in format_verdict(verdict)
-
-    def test_injected_p95_regression_fails(self):
-        history = [_record(), _record()]
-        verdict = evaluate(_record(p95_scale=10.0), history)
-        assert not verdict.ok
-        bad = [r for r in verdict.rows if not r.ok]
-        assert any(r.rule_id == "SLO-P95" for r in bad)
-
-    def test_failure_rate_cap(self):
-        verdict = evaluate(_record(failures=15), [_record(), _record()])
-        assert any(r.rule_id == "SLO-FAILRATE" and not r.ok for r in verdict.rows)
-
-    def test_too_little_history_is_not_a_failure(self):
-        verdict = evaluate(_record(p95_scale=10.0), [_record()])
-        assert verdict.baseline_runs == 1
-        assert all(r.ok for r in verdict.rows if r.rule_id == "SLO-P95")
-
-    def test_history_file_round_trip(self, tmp_path):
-        path = tmp_path / "hist.jsonl"
-        append_history(path, _record())
-        append_history(path, _record())
-        assert len(load_history(path)) == 2
-        with pytest.raises(ValueError):
-            append_history(path, {"schema": "something/else"})
-
-    def test_report_cli_exits_nonzero_on_regression(self, tmp_path):
-        from repro.__main__ import main
-
-        path = tmp_path / "hist.jsonl"
-        append_history(path, _record())
-        append_history(path, _record())
-        append_history(path, _record())
-        assert main(["report", "--history", str(path)]) == 0
-        append_history(path, _record(p95_scale=10.0))
-        assert main(["report", "--history", str(path)]) == 1
-
-    def test_report_cli_without_history_exits_two(self, tmp_path):
-        from repro.__main__ import main
-
-        assert main(["report", "--history", str(tmp_path / "none.jsonl")]) == 2
-
-    def test_default_slos_cover_all_kinds(self):
-        assert {r.kind for r in DEFAULT_SLOS} == {
-            "p95_ceiling",
-            "throughput_floor",
-            "failure_rate_cap",
-            "quarantine_rate_cap",
-        }
+    prom, dump = tmp_path / "run.prom", tmp_path / "run.jsonl"
+    assert main([
+        "extract", "--dataset", "D2", "--n", "4", "--workers", "2",
+        "--metrics", str(prom), "--metrics-jsonl", str(dump),
+    ]) == 0
+    capsys.readouterr()
+    assert validate_prometheus(prom) > 0
+    read_metrics_jsonl(dump)
+    samples = [(name, dict(labels), value)
+               for name, labels, value in parse_prometheus(prom.read_text())]
+    processed = [(labels["status"], value)
+                 for name, labels, value in samples if name == "repro_docs_processed"]
+    assert processed == [("ok", 4)]
+    assert not [name for name, _, _ in samples if name.startswith("repro_doc_failures")]
+    latency_counts = {labels["stage"]: value
+                      for name, labels, value in samples
+                      if name == "repro_stage_latency_count"}
+    for stage in ("ocr", "deskew", "segment", "select"):
+        assert latency_counts.get(stage, 0) > 0, f"stage {stage} has no latency samples"
