@@ -36,13 +36,12 @@ bench-smoke:     ## fast-vs-naive cut.decision ledger gate + 1.3x speed floor (d
 perfbench-selftest: ## every benchmark workload, traced and untraced, at tiny sizes + golden digests (~1 min)
 	$(PY) perfbench/selftest.py
 
-trace-smoke:     ## traced 3-doc extract + schema validation of both exporters
+trace-smoke:     ## traced 3-doc extract (--observe) + schema validation of both trace files
 	$(PY) -m repro extract --dataset D2 --n 3 --seed 0 \
-	    --trace /tmp/repro_trace_smoke.json \
-	    --trace-jsonl /tmp/repro_trace_smoke.jsonl > /dev/null
+	    --observe /tmp/repro_trace_smoke > /dev/null
 	$(PY) -c "from repro.trace import validate_chrome_trace, validate_jsonl; \
-	    n = validate_chrome_trace('/tmp/repro_trace_smoke.json'); \
-	    m = validate_jsonl('/tmp/repro_trace_smoke.jsonl'); \
+	    n = validate_chrome_trace('/tmp/repro_trace_smoke/trace.json'); \
+	    m = validate_jsonl('/tmp/repro_trace_smoke/trace.jsonl'); \
 	    print(f'trace-smoke: chrome trace ok ({n} events), jsonl ok ({m} records)')"
 
 chaos-smoke:     ## supervised 20-doc corpus under a canned hang+crash+poison+flaky FaultPlan

@@ -27,8 +27,6 @@ from repro.ocr.cache import TranscriptionCache
 from repro.synth import generate_corpus
 from repro.trace import Tracer, ledger_diff, ledger_lines
 
-from conftest import save_result
-
 #: Fast-path regression gate: the prefix-sum path must beat the per-
 #: slope reference rescan by at least this factor on ``segment.cuts``
 #: (measured 2–3× across corpora; the loose floor absorbs machine noise
@@ -79,9 +77,11 @@ def _paired_ledger_run(dataset: str, n_docs: int):
 
 
 @pytest.mark.bench_smoke
-def test_bench_smoke_fast_naive_equivalence(results_dir):
+def test_bench_smoke_fast_naive_equivalence():
     """Acceptance gate of the fast cut path: ledger byte-identity on
-    all three corpora plus the speedup floor."""
+    all three corpora plus the speedup floor.  The report is printed
+    (``make bench-smoke`` runs with ``-s``), not saved: its seconds
+    differ on every run, and the verdict is the test's exit status."""
     report = []
     total_fast = total_naive = 0.0
     for dataset in ("D1", "D2", "D3"):
@@ -102,7 +102,7 @@ def test_bench_smoke_fast_naive_equivalence(results_dir):
         )
     speedup = total_naive / total_fast if total_fast > 0 else float("inf")
     report.append(f"TOTAL segment.cuts speedup: {speedup:.2f}x (gate {MIN_CUTS_SPEEDUP}x)")
-    save_result(results_dir, "bench_smoke_equivalence", "\n".join(report))
+    print("\n" + "\n".join(report))
     assert speedup >= MIN_CUTS_SPEEDUP, (
         f"segment.cuts fast path regressed: {speedup:.2f}x < {MIN_CUTS_SPEEDUP}x "
         f"(fast={total_fast:.3f}s naive={total_naive:.3f}s)"

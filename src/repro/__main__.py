@@ -4,12 +4,9 @@ Commands
 --------
 ``extract``   run the VS2 pipeline over a synthetic corpus and print
               the extracted key-value pairs per document
-              (``--workers N`` parallelises, ``--profile`` prints the
-              per-stage timing table, ``--trace out.json`` writes a
-              Chrome/Perfetto trace, ``--faults``/``--supervise``/
-              ``--checkpoint`` enable fault injection and supervised
-              execution; see docs/PROFILING.md, docs/TRACING.md and
-              docs/RESILIENCE.md)
+              (``--workers N`` parallelises, ``--faults``/
+              ``--supervise``/``--checkpoint`` enable fault injection
+              and supervised execution; see docs/RESILIENCE.md)
 ``explain``   run one document with tracing on and print the decision
               report — the cut ledger, merge ledger, Pareto table and
               final extractions (docs/TRACING.md)
@@ -24,67 +21,72 @@ Commands
               layering, coordinate-frame hygiene) over source trees;
               see docs/STATIC_ANALYSIS.md
 
-``extract`` and ``serve`` also take ``--metrics OUT.prom`` /
-``--metrics-jsonl OUT.jsonl`` (labeled metric-registry exports) and
-``--flame OUT.txt`` (collapsed-stack flamegraph of the run's trace).
-Speed is measured by the repo benchmark (``perfbench/``,
-``BENCHMARK.json``), not by a subcommand.
+``extract``, ``explain``, ``serve`` and ``table`` take ``--observe
+DIR``: it turns tracing on and writes every view of the run that has a
+source into DIR — ``profile.txt`` (the per-stage timing table),
+``trace.json`` (Chrome/Perfetto), ``trace.jsonl``, ``flame.txt``
+(collapsed stacks), ``metrics.prom`` and ``metrics.jsonl`` (the metric
+registry) — then prints the trace's critical path
+(docs/OBSERVABILITY.md).  Without it a run writes nothing.  Speed is
+measured by the repo benchmark (``perfbench/``, ``BENCHMARK.json``),
+not by a subcommand.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 
 def _build_tracer(args: argparse.Namespace):
-    """The tracer for a CLI run: real when any --trace/--flame flag was
-    given, the shared no-op otherwise."""
+    """The tracer for a CLI run: real under ``--observe``, the shared
+    no-op otherwise."""
     from repro.trace import NULL_TRACER, Tracer
 
-    wants = (
-        getattr(args, "trace", None)
-        or getattr(args, "trace_jsonl", None)
-        or getattr(args, "flame", None)
+    return Tracer() if getattr(args, "observe", None) else NULL_TRACER
+
+
+def _write_observations(args, roots=(), metrics=None, registry=None) -> None:
+    """Write each view of the run that has a source into the
+    ``--observe`` directory, list the files, then print the critical
+    path of the trace."""
+    if not getattr(args, "observe", None):
+        return
+    from pathlib import Path
+
+    from repro.obs import (
+        critical_path_lines,
+        write_flamegraph,
+        write_metrics_jsonl,
+        write_prometheus,
     )
-    return Tracer() if wants else NULL_TRACER
-
-
-def _export_trace(tracer, args: argparse.Namespace) -> None:
     from repro.trace import write_chrome_trace, write_jsonl
 
-    roots = tracer.drain()
-    if not roots:
-        return
-    if getattr(args, "trace", None):
-        path = write_chrome_trace(args.trace, roots)
-        print(f"wrote {path} (Chrome trace_event; open in Perfetto)")
-    if getattr(args, "trace_jsonl", None):
-        path = write_jsonl(args.trace_jsonl, roots)
-        print(f"wrote {path} (JSONL event log)")
-    if getattr(args, "flame", None):
-        from repro.obs import critical_path_lines, write_flamegraph
-
-        path = write_flamegraph(args.flame, roots)
-        print(f"wrote {path} (collapsed stacks; feed to flamegraph.pl/speedscope)")
-        lines = critical_path_lines(roots)
-        if lines:
-            print("critical path:")
-            for line in lines:
-                print(f"  {line}")
-
-
-def _export_metrics(registry, args: argparse.Namespace) -> None:
-    """Write the run registry wherever --metrics/--metrics-jsonl point."""
-    from repro.obs import write_metrics_jsonl, write_prometheus
-
-    if getattr(args, "metrics", None):
-        path = write_prometheus(args.metrics, registry)
-        print(f"wrote {path} (Prometheus text exposition)")
-    if getattr(args, "metrics_jsonl", None):
-        path = write_metrics_jsonl(args.metrics_jsonl, registry)
-        print(f"wrote {path} (metric-registry JSONL dump)")
+    out = Path(args.observe)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    if metrics is not None:
+        profile = out / "profile.txt"
+        profile.write_text(metrics.format_table() + "\n", encoding="utf-8")
+        written.append((profile, "per-stage timing table"))
+    if roots:
+        written.append((write_chrome_trace(out / "trace.json", roots),
+                        "Chrome trace_event; open in Perfetto"))
+        written.append((write_jsonl(out / "trace.jsonl", roots), "JSONL event log"))
+        written.append((write_flamegraph(out / "flame.txt", roots),
+                        "collapsed stacks; feed to flamegraph.pl/speedscope"))
+    if registry is not None:
+        written.append((write_prometheus(out / "metrics.prom", registry),
+                        "Prometheus text exposition"))
+        written.append((write_metrics_jsonl(out / "metrics.jsonl", registry),
+                        "metric-registry JSONL dump"))
+    for path, what in written:
+        print(f"wrote {path} ({what})")
+    lines = critical_path_lines(list(roots))
+    if lines:
+        print("critical path:")
+        for line in lines:
+            print(f"  {line}")
 
 
 def _build_fault_plan(args: argparse.Namespace):
@@ -161,11 +163,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             f"{supervision.resumed_docs} resumed, "
             f"{supervision.backoff_s:.2f}s virtual backoff"
         )
-    if args.profile:
-        print()
-        print(outcome.metrics.format_table())
-    _export_metrics(outcome.registry, args)
-    _export_trace(tracer, args)
+    _write_observations(args, tracer.drain(), outcome.metrics, outcome.registry)
     return 1 if len(outcome.failures) == len(corpus) and len(corpus) else 0
 
 
@@ -198,18 +196,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             title=f"Decision report — {doc.doc_id} ({args.dataset}, seed {args.seed})",
         )
     )
-    _export_trace(_Preloaded(roots), args)
+    _write_observations(args, roots, pipeline.metrics)
     return 0
-
-
-class _Preloaded:
-    """Adapter so :func:`_export_trace` can reuse already-drained roots."""
-
-    def __init__(self, roots):
-        self._roots = roots
-
-    def drain(self):
-        return self._roots
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -236,8 +224,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         fault_plan=_build_fault_plan(args),
     )
     code = run_server(service, host=args.host, port=args.port)
-    _export_metrics(service.registry, args)
-    _export_trace(service.tracer, args)
+    _write_observations(args, service.tracer.drain(), registry=service.registry)
     return code
 
 
@@ -261,9 +248,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         {"D1": args.n_d1, "D2": args.n_d2, "D3": args.n_d3}, seed=args.seed
     )
     print(runner(context).format())
-    if args.profile:
-        print()
-        print(context.metrics.format_table(title="Context per-stage timing"))
+    _write_observations(args, metrics=context.metrics)
     return 0
 
 
@@ -334,14 +319,7 @@ def _explain_rule(rule_id: str) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.analysis.lint import (
-        ALL_RULES,
-        format_human,
-        format_json,
-        load_baseline,
-        write_baseline,
-    )
-    from repro.analysis.lint.engine import apply_baseline, rekey_baseline
+    from repro.analysis.lint import ALL_RULES, format_human, format_json
     from repro.analysis.passes import load_catalogue
     from repro.analysis.runner import check_project
 
@@ -355,39 +333,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.explain:
         return _explain_rule(args.explain)
 
-    baseline_path = Path(args.baseline)
-    if args.rekey:
-        renames = {}
-        for spec in args.rekey:
-            old, sep, new = spec.partition("=")
-            if not sep or not old or not new:
-                print(f"--rekey expects OLD=NEW, got {spec!r}", file=sys.stderr)
-                return 2
-            renames[old] = new
-        changed = rekey_baseline(baseline_path, renames)
-        print(f"rewrote {changed} fingerprint(s) in {baseline_path}")
-        return 0
-
-    cache_path = None
-    if args.cache and not args.no_cache:
-        cache_path = Path(args.cache)
     result = check_project(
         [Path(p) for p in args.paths],
         rule_ids=args.rules or None,
-        cache_path=cache_path,
+        cache_path=Path(args.cache) if args.cache else None,
     )
-    if args.graph:
-        if args.graph == "dot":
-            print(result.index.to_dot())
-        else:
-            print(json.dumps(result.index.to_json(), indent=2, sort_keys=True))
-        return 0
     violations = result.violations
-    if args.write_baseline:
-        write_baseline(baseline_path, violations)
-        print(f"wrote {len(violations)} fingerprint(s) to {baseline_path}")
-        return 0
-    violations = apply_baseline(violations, load_baseline(baseline_path))
     if args.stats:
         s = result.stats
         print(
@@ -401,30 +352,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 1 if violations else 0
 
 
-def _add_trace_flags(p: argparse.ArgumentParser) -> None:
+def _observe_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--trace", metavar="OUT.json", default=None,
-        help="write a Chrome trace_event file of the run (Perfetto-loadable)",
-    )
-    p.add_argument(
-        "--trace-jsonl", metavar="OUT.jsonl", default=None,
-        help="write the JSONL span/decision event log of the run",
-    )
-
-
-def _add_metrics_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--metrics", metavar="OUT.prom", default=None,
-        help="write the run's metric registry as Prometheus text exposition",
-    )
-    p.add_argument(
-        "--metrics-jsonl", metavar="OUT.jsonl", default=None,
-        help="write the run's metric registry as a JSONL dump",
-    )
-    p.add_argument(
-        "--flame", metavar="OUT.txt", default=None,
-        help="write a collapsed-stack flamegraph of the run's trace and "
-             "print its critical path (implies tracing)",
+        "--observe", metavar="DIR", default=None,
+        help="trace the run and write each of its views into DIR: profile.txt, "
+             "trace.json, trace.jsonl, flame.txt, metrics.prom, metrics.jsonl "
+             "(those the command has a source for); prints the critical path",
     )
 
 
@@ -448,10 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers", type=int, default=1,
         help="process count for the corpus runner (1 = serial)",
-    )
-    p.add_argument(
-        "--profile", action="store_true",
-        help="print the per-stage timing table after the run",
     )
     p.add_argument(
         "--faults", metavar="SPEC_OR_JSON", default=None,
@@ -482,8 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--quarantine-report", metavar="OUT.json", default=None,
         help="write the machine-readable quarantine report here",
     )
-    _add_trace_flags(p)
-    _add_metrics_flags(p)
+    _observe_arg(p)
     p.set_defaults(fn=_cmd_extract)
 
     p = sub.add_parser(
@@ -493,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     _dataset_arg(p)
     p.add_argument("--doc", type=int, default=0, help="document index in the corpus")
     p.add_argument("--seed", type=int, default=0)
-    _add_trace_flags(p)
+    _observe_arg(p)
     p.set_defaults(fn=_cmd_explain)
 
     p = sub.add_parser("table", help="regenerate a paper table")
@@ -502,10 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-d2", type=int, default=16)
     p.add_argument("--n-d3", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--profile", action="store_true",
-        help="print the context's per-stage timing table after the table",
-    )
+    _observe_arg(p)
     p.set_defaults(fn=_cmd_table)
 
     p = sub.add_parser(
@@ -537,8 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "serve.batch plus the pipeline sites; docs/RESILIENCE.md)")
     p.add_argument("--checkpoint", metavar="OUT.json", default=None,
                    help="write the final accounting snapshot here on drain")
-    _add_trace_flags(p)
-    _add_metrics_flags(p)
+    _observe_arg(p)
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser("figure", help="regenerate a paper figure")
@@ -553,23 +477,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["human", "json"], default="human")
     p.add_argument("--rules", nargs="*", metavar="RULE",
                    help="restrict the run to these rule IDs")
-    p.add_argument("--baseline", default="lint_baseline.json",
-                   help="JSON baseline of accepted legacy violations")
-    p.add_argument("--write-baseline", action="store_true",
-                   help="record current violations as the new baseline and exit")
     p.add_argument("--list-rules", action="store_true",
                    help="print the rule catalogue (module rules + passes) and exit")
     p.add_argument("--explain", metavar="RULEID",
                    help="print one rule's documentation, example and fix, then exit")
     p.add_argument("--cache", metavar="PATH", default=None,
                    help="content-hash result cache file (off unless given)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore --cache (force a cold run)")
-    p.add_argument("--graph", choices=["dot", "json"],
-                   help="dump the import/call graph instead of findings")
-    p.add_argument("--rekey", action="append", metavar="OLD=NEW",
-                   help="rewrite baseline fingerprints after a file rename "
-                        "(repeatable), then exit")
     p.add_argument("--stats", action="store_true",
                    help="print file/parse/cache counters to stderr")
     p.add_argument("--timings", action="store_true",

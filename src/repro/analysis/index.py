@@ -691,34 +691,3 @@ class ProjectIndex:
             if "*" in record.names:
                 return True
         return False
-
-    # -- graph dumps ----------------------------------------------------
-
-    def to_json(self) -> Dict[str, object]:
-        modules = {}
-        for name in sorted(self.modules):
-            summary = self.modules[name]
-            modules[name] = {
-                "path": summary.display_path,
-                "functions": sorted(summary.functions),
-                "imports": sorted(
-                    {r.module for r in summary.imports if r.scope == "module"}
-                ),
-                "lazy_imports": sorted(
-                    {r.module for r in summary.imports if r.scope != "module"}
-                ),
-            }
-        return {"modules": modules, "calls": self.call_graph()}
-
-    def to_dot(self) -> str:
-        lines = ["digraph repro_index {", "  rankdir=LR;"]
-        for name in sorted(self.modules):
-            summary = self.modules[name]
-            for dep in sorted({r.module for r in summary.imports if r.scope == "module"}):
-                if dep in self.modules:
-                    lines.append(f'  "{name}" -> "{dep}";')
-            for dep in sorted({r.module for r in summary.imports if r.scope != "module"}):
-                if dep in self.modules:
-                    lines.append(f'  "{name}" -> "{dep}" [style=dashed];')
-        lines.append("}")
-        return "\n".join(lines)

@@ -1,7 +1,7 @@
 """The ``repro check`` lint engine.
 
 :mod:`repro.analysis.lint.engine` owns the machinery (file discovery,
-AST parsing, ``noqa``-comment suppression, baselines, output formats);
+AST parsing, ``noqa``-comment suppression, output formats);
 :mod:`repro.analysis.lint.rules` owns the rule catalogue.  Importing
 this package registers every rule.
 """
@@ -14,9 +14,6 @@ from repro.analysis.lint.engine import (
     format_human,
     format_json,
     lint_paths,
-    load_baseline,
-    rekey_baseline,
-    write_baseline,
 )
 from repro.analysis.lint import rules  # noqa: F401  (registers the catalogue)
 
@@ -28,7 +25,4 @@ __all__ = [
     "format_human",
     "format_json",
     "lint_paths",
-    "load_baseline",
-    "rekey_baseline",
-    "write_baseline",
 ]

@@ -1,4 +1,4 @@
-"""Lint engine: per-file model, suppression, baselines, output.
+"""Lint engine: per-file model, suppression, output.
 
 The engine is rule-agnostic.  A *module-scope rule* is an object with a
 ``rule_id``, a one-line ``summary`` and a ``check(module)`` generator
@@ -14,9 +14,8 @@ historical form (``repro: noqa[DET001,FRAME101]``) or the conventional
 form (``noqa: DET001,FRAME101``) silences the named rule(s) on that
 line.  A *bare* noqa (no rule list) still blanket-silences the line
 but is itself reported as ``SUPP001`` — unscoped suppressions hide
-future findings.  A *baseline* (JSON list of violation fingerprints)
-lets a new rule land while legacy hits are burned down — the shipped
-baseline is empty and should stay that way.
+future findings.  There is no baseline: a new rule lands with its
+hits fixed (``TestSelfLint`` requires a clean tree).
 
 Beyond noqa, two pragma vocabularies feed the interprocedural passes:
 
@@ -75,11 +74,6 @@ class Violation:
     @property
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
-
-    def fingerprint(self) -> str:
-        """Line-insensitive identity used by the baseline (survives
-        unrelated edits shifting the hit up or down the file)."""
-        return f"{self.rule}::{self.path}::{self.message}"
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -322,61 +316,6 @@ def lint_paths(
     from repro.analysis.runner import check_project
 
     return check_project(paths, rule_ids=rule_ids, root=root).violations
-
-
-# ----------------------------------------------------------------------
-# Baselines
-# ----------------------------------------------------------------------
-
-
-def load_baseline(path: Path) -> Set[str]:
-    """Fingerprints of accepted legacy violations (empty file → empty)."""
-    if not path.exists():
-        return set()
-    data = json.loads(path.read_text(encoding="utf-8") or "[]")
-    if not isinstance(data, list):
-        raise ValueError(f"baseline {path} must be a JSON list of fingerprints")
-    return {str(f) for f in data}
-
-
-def write_baseline(path: Path, violations: Sequence[Violation]) -> None:
-    fingerprints = sorted({v.fingerprint() for v in violations})
-    path.write_text(json.dumps(fingerprints, indent=2) + "\n", encoding="utf-8")
-
-
-def apply_baseline(
-    violations: Sequence[Violation], baseline: Set[str]
-) -> List[Violation]:
-    return [v for v in violations if v.fingerprint() not in baseline]
-
-
-def rekey_baseline(path: Path, renames: Dict[str, str]) -> int:
-    """Rewrite baseline fingerprints after file or rule renames.
-
-    Fingerprints embed both the rule id and the display path
-    (``RULE::path::message``), so a file rename — or a rule being
-    superseded by a renamed one — would orphan every entry and its
-    findings would resurface.  A rename key that looks like a rule id
-    (no path separator, matches ``parts[0]``) rewrites the rule
-    component; anything else rewrites the path component.  Returns the
-    number of fingerprints rewritten.
-    """
-    fingerprints = load_baseline(path)
-    rewritten: Set[str] = set()
-    changed = 0
-    for fp in fingerprints:
-        parts = fp.split("::", 2)
-        if len(parts) == 3:
-            if parts[0] in renames and "/" not in parts[0]:
-                parts[0] = renames[parts[0]]
-                changed += 1
-            if parts[1] in renames:
-                parts[1] = renames[parts[1]]
-                changed += 1
-        rewritten.add("::".join(parts))
-    if changed:
-        path.write_text(json.dumps(sorted(rewritten), indent=2) + "\n", encoding="utf-8")
-    return changed
 
 
 # ----------------------------------------------------------------------

@@ -439,9 +439,9 @@ class AdHocTimingRule(Rule):
     """OBS001 — hand-rolled timing inside ``repro.core``.
 
     A bare ``time.perf_counter()`` pair measures one site and reports
-    nowhere: the measurement is invisible to ``--profile`` tables,
-    latency histograms, metric exports and traces, and drifts from
-    the stage vocabulary.  Core code must time through the shared
+    nowhere: the measurement is invisible to every view ``--observe``
+    writes (the ``profile.txt`` stage table, latency histograms, metric
+    exports and traces), and drifts from the stage vocabulary.  Core code must time through the shared
     instrumentation (``metrics.stage(...)`` context managers or
     ``tracer.span(...)``), which records into all of them at once.
     """
@@ -599,16 +599,17 @@ class BareSleepRule(Rule):
     A bare ``time.sleep`` makes retry backoff depend on the wall clock:
     tests slow to real time, the chaos suite stops being instant, and
     the waited amount never reaches the supervision report.  Waiting in
-    ``repro.core`` / ``repro.resilience`` must be *virtual* — charge
-    seconds to a :class:`repro.resilience.budget.BackoffClock` (whose
-    optional injected sleeper is the escape hatch for callers that
-    genuinely want pacing).  ``repro.resilience.budget`` itself is the
-    one sanctioned home of a real sleep (``block_forever``, which
-    exists so injected hangs really hang inside supervised workers).
+    ``repro.core`` / ``repro.resilience`` must be *virtual* — compute
+    it with :func:`repro.resilience.budget.backoff_seconds` and record
+    it on the decision (the supervised runner stores it on the retry's
+    ``SupervisionEvent``, and the report sums them).
+    ``repro.resilience.budget`` itself is the one sanctioned home of a
+    real sleep (``block_forever``, which exists so injected hangs
+    really hang inside supervised workers).
     """
 
     rule_id = "RES001"
-    summary = "no bare time.sleep in core/resilience; charge a BackoffClock"
+    summary = "no bare time.sleep in core/resilience; record virtual backoff"
 
     def check(self, module: ModuleInfo) -> Iterator[Violation]:
         if not _in_layer(module.module, _BUDGETED_LAYERS):
@@ -622,8 +623,8 @@ class BareSleepRule(Rule):
             if name in _SLEEP_CALLS:
                 yield module.violation(
                     node, self.rule_id,
-                    f"{name}() blocks on the wall clock; charge the wait to an "
-                    "injectable repro.resilience.budget.BackoffClock instead",
+                    f"{name}() blocks on the wall clock; record the wait as virtual "
+                    "seconds (repro.resilience.budget.backoff_seconds) instead",
                 )
 
 
@@ -767,8 +768,8 @@ _RULE_EXAMPLES: Dict[str, Tuple[str, str]] = {
     ),
     "RES001": (
         "# in repro/core/…\ntime.sleep(2 ** attempt)",
-        "clock.charge(backoff_seconds(attempt, base_s, cap_s))\n"
-        "# a BackoffClock accounts the wait; inject a sleeper to pace for real",
+        "backoff = backoff_seconds(attempt, base_s, cap_s)\n"
+        "events.append(SupervisionEvent(\"retry\", ..., backoff_s=backoff))",
     ),
     "RES002": (
         "# in repro/core/…\ntry:\n    run(doc)\nexcept Exception:\n    return None",

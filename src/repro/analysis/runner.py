@@ -20,8 +20,7 @@ renders with ``--timings``; ``stats["parsed"]`` counts the files parsed
 this run (a warm cache run must report 0 — CI asserts it).
 
 Unparseable files become ``PARSE001`` findings instead of crashing the
-run.  The result carries the index so the CLI can dump the import/call
-graph (``repro check --graph``).
+run.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ class CheckResult:
     """Everything one ``repro check`` run produced."""
 
     violations: List[Violation] = field(default_factory=list)
-    index: ProjectIndex = field(default_factory=lambda: ProjectIndex([]))
     #: files scanned / parsed this run / served from cache.
     stats: Dict[str, int] = field(default_factory=dict)
     #: per-stage / per-pass wall time (``check.*`` stage names).
@@ -210,5 +208,5 @@ def check_project(
         "cache_misses": cache.misses if cache is not None else 0,
     }
     return CheckResult(
-        violations=sorted(violations), index=index, stats=stats, metrics=metrics
+        violations=sorted(violations), stats=stats, metrics=metrics
     )

@@ -274,7 +274,6 @@ class VS2Pipeline:
         degradations.append(
             Degradation(stage, fallback, type(exc).__name__, str(exc))
         )
-        self.metrics.count("resilience.degrade")
         self.tracer.event(
             "pipeline.degrade",
             stage=stage,

@@ -24,10 +24,15 @@ two ``getrusage`` reads (for :attr:`StageStats.cpu_seconds`) and a
 dict lookup, so instrumentation stays on in production paths.
 
 Each stage additionally keeps a **bounded log-scale latency
-histogram** (:data:`HIST_BUCKETS` doubling buckets from 1 µs up) of
-its individually timed samples, so tables report p50/p95/max — a
-mean hides exactly the straggler documents the parallel runner exists
-for.
+histogram** (:class:`HistogramValue`, :data:`HIST_BUCKETS` doubling
+buckets from 1 µs up) of its individually timed samples, so tables
+report p50/p95/max — a mean hides exactly the straggler documents the
+parallel runner exists for.  The metric registry
+(:mod:`repro.obs.registry`) stores its histogram series in the same
+type, so a stage's histogram folds into ``repro.stage.latency`` as is.
+
+``repro extract --observe DIR`` writes :meth:`PipelineMetrics.format_table`
+of the run to ``DIR/profile.txt`` (docs/PROFILING.md).
 
 Accumulators merge (:meth:`PipelineMetrics.merge`), which is how the
 parallel :class:`repro.perf.runner.CorpusRunner` folds per-worker
@@ -42,7 +47,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 try:  # pragma: no cover - resource is POSIX-only
     import resource as _resource
@@ -65,13 +70,6 @@ STAGE_ORDER: List[str] = [
     "select.disambiguate",
     "select.form_fields",
     "rotate_back",
-    "resilience.retry",
-    "resilience.backoff",
-    "resilience.timeout",
-    "resilience.quarantine",
-    "resilience.worker_replace",
-    "resilience.resume",
-    "resilience.degrade",
 ]
 
 #: Latency histogram shape: bucket 0 holds samples ≤ 1 µs, bucket *i*
@@ -95,41 +93,124 @@ def bucket_upper_seconds(bucket: int) -> float:
     return _HIST_MIN_SECONDS * (2.0 ** bucket)
 
 
+class HistogramValue:
+    """One log2 latency histogram: buckets plus count, sum and max.
+
+    The one histogram type of the program: a stage's
+    :attr:`StageStats.latency` and every ``histogram`` series of
+    :class:`repro.obs.registry.MetricRegistry` hold one.  Buckets have
+    the :data:`HIST_BUCKETS` shape; :meth:`merge_from` widens to the
+    longer bucket array instead of raising on mismatched widths.
+    """
+
+    __slots__ = ("buckets", "count", "sum", "max")
+
+    def __init__(self, buckets: Optional[List[int]] = None, count: int = 0,
+                 sum_: float = 0.0, max_: float = 0.0):
+        self.buckets: List[int] = list(buckets) if buckets is not None else [0] * HIST_BUCKETS
+        self.count = count
+        self.sum = sum_
+        self.max = max_
+
+    def observe(self, value: float) -> None:
+        bucket = hist_bucket(value)
+        if bucket >= len(self.buckets):
+            self.buckets.extend([0] * (bucket + 1 - len(self.buckets)))
+        self.buckets[bucket] += 1
+        self.count += 1
+        self.sum += value
+        if value > self.max:
+            self.max = value
+
+    def merge_from(self, other: "HistogramValue") -> None:
+        if len(other.buckets) > len(self.buckets):
+            self.buckets.extend([0] * (len(other.buckets) - len(self.buckets)))
+        for i, n in enumerate(other.buckets):
+            self.buckets[i] += n
+        self.count += other.count
+        self.sum += other.sum
+        if other.max > self.max:
+            self.max = other.max
+
+    def quantile(self, q: float) -> Optional[float]:
+        """Quantile estimate in seconds: the upper edge of the bucket
+        holding the ``q``-th sample, clipped to the observed max;
+        ``None`` without samples."""
+        total = sum(self.buckets)
+        if total == 0:
+            return None
+        target = q * total
+        cumulative = 0
+        for bucket, n in enumerate(self.buckets):
+            cumulative += n
+            if cumulative >= target:
+                upper = bucket_upper_seconds(bucket)
+                return min(upper, self.max) if self.max else upper
+        return self.max  # pragma: no cover - cumulative covers total
+
+    def copy(self) -> "HistogramValue":
+        return HistogramValue(self.buckets, self.count, self.sum, self.max)
+
+    def to_dict(self) -> Dict[str, Any]:
+        out: Dict[str, Any] = {"count": self.count, "sum": self.sum}
+        sparse = {str(i): n for i, n in enumerate(self.buckets) if n}
+        if sparse:
+            out["buckets"] = sparse
+        if self.max:
+            out["max"] = self.max
+        return out
+
+    @staticmethod
+    def from_dict(data: Dict[str, Any]) -> "HistogramValue":
+        hist = HistogramValue(
+            count=int(data.get("count", 0)),
+            sum_=float(data.get("sum", 0.0)),
+            max_=float(data.get("max", 0.0)),
+        )
+        for key, n in dict(data.get("buckets", {})).items():
+            bucket = int(key)
+            if bucket < 0:
+                continue
+            if bucket >= len(hist.buckets):  # widen, never drop samples
+                hist.buckets.extend([0] * (bucket + 1 - len(hist.buckets)))
+            hist.buckets[bucket] = int(n)
+        return hist
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HistogramValue):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"HistogramValue(count={self.count}, sum={self.sum:.6f})"
+
+
 @dataclass
 class StageStats:
     """Accumulated statistics of one named stage.
 
     ``calls``/``seconds``/``items`` aggregate everything recorded;
-    ``hist``/``max_seconds`` cover only *individually observed*
-    samples (:meth:`observe`), because an aggregate record of N calls
-    carries no per-call distribution to bucket.  ``cpu_seconds``
-    accumulates the CPU (user+sys) time the stage consumed — zero when
-    the recorder did not measure it (platforms without ``resource``,
-    or aggregates folded in from older snapshots).
+    ``latency`` covers only *individually observed* samples
+    (:meth:`observe`), because an aggregate record of N calls carries
+    no per-call distribution to bucket.  ``cpu_seconds`` accumulates
+    the CPU (user+sys) time the stage consumed — zero when the
+    recorder did not measure it (platforms without ``resource``, or
+    aggregates).
     """
 
     calls: int = 0
     seconds: float = 0.0
     items: int = 0
-    max_seconds: float = 0.0
     cpu_seconds: float = 0.0
-    hist: List[int] = field(default_factory=lambda: [0] * HIST_BUCKETS)
+    latency: HistogramValue = field(default_factory=HistogramValue)
 
-    # ------------------------------------------------------------------
-    # Recording
-    # ------------------------------------------------------------------
     def observe(self, seconds: float, items: int = 0, cpu_seconds: float = 0.0) -> None:
         """Record one timed sample (updates the latency histogram)."""
         self.calls += 1
         self.seconds += seconds
         self.items += items
         self.cpu_seconds += cpu_seconds
-        bucket = hist_bucket(seconds)
-        if bucket >= len(self.hist):
-            self.hist.extend([0] * (bucket + 1 - len(self.hist)))
-        self.hist[bucket] += 1
-        if seconds > self.max_seconds:
-            self.max_seconds = seconds
+        self.latency.observe(seconds)
 
     def add(
         self, seconds: float, items: int = 0, calls: int = 1, cpu_seconds: float = 0.0
@@ -141,92 +222,38 @@ class StageStats:
         self.cpu_seconds += cpu_seconds
 
     def merge_from(self, other: "StageStats") -> None:
-        """Fold ``other`` into this accumulator.  Histograms of
-        different widths merge by widening to the longer one (dumps
-        from other builds may carry more or fewer buckets) — never by
-        raising."""
+        """Fold ``other`` into this accumulator, histogram included."""
         self.calls += other.calls
         self.seconds += other.seconds
         self.items += other.items
         self.cpu_seconds += other.cpu_seconds
-        if other.max_seconds > self.max_seconds:
-            self.max_seconds = other.max_seconds
-        if len(other.hist) > len(self.hist):
-            self.hist.extend([0] * (len(other.hist) - len(self.hist)))
-        for i, count in enumerate(other.hist):
-            self.hist[i] += count
+        self.latency.merge_from(other.latency)
 
-    # ------------------------------------------------------------------
-    # Derived statistics
-    # ------------------------------------------------------------------
     @property
     def ms_per_call(self) -> float:
         return (self.seconds / self.calls) * 1000.0 if self.calls else 0.0
 
-    def quantile_seconds(self, q: float) -> Optional[float]:
-        """Latency quantile estimate from the histogram (upper bucket
-        edge, clipped to the observed max); ``None`` without samples."""
-        total = sum(self.hist)
-        if total == 0:
-            return None
-        target = q * total
-        cumulative = 0
-        for bucket, count in enumerate(self.hist):
-            cumulative += count
-            if cumulative >= target:
-                upper = bucket_upper_seconds(bucket)
-                return min(upper, self.max_seconds) if self.max_seconds else upper
-        return self.max_seconds  # pragma: no cover - cumulative covers total
-
-    @property
-    def p50_ms(self) -> Optional[float]:
-        q = self.quantile_seconds(0.50)
-        return None if q is None else q * 1000.0
-
-    @property
-    def p95_ms(self) -> Optional[float]:
-        q = self.quantile_seconds(0.95)
-        return None if q is None else q * 1000.0
-
-    @property
-    def max_ms(self) -> Optional[float]:
-        return self.max_seconds * 1000.0 if sum(self.hist) else None
-
-    # ------------------------------------------------------------------
-    # Serialisation (lossless round-trip)
-    # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {
             "calls": self.calls,
             "seconds": self.seconds,
             "items": self.items,
         }
-        if self.max_seconds:
-            out["max_seconds"] = self.max_seconds
         if self.cpu_seconds:
             out["cpu_seconds"] = self.cpu_seconds
-        sparse = {str(i): n for i, n in enumerate(self.hist) if n}
-        if sparse:
-            out["hist"] = sparse
+        if self.latency.count:
+            out["latency"] = self.latency.to_dict()
         return out
 
     @staticmethod
     def from_dict(data: Dict[str, object]) -> "StageStats":
-        stats = StageStats(
+        return StageStats(
             calls=int(data.get("calls", 0)),
             seconds=float(data.get("seconds", 0.0)),
             items=int(data.get("items", 0)),
-            max_seconds=float(data.get("max_seconds", 0.0)),
             cpu_seconds=float(data.get("cpu_seconds", 0.0)),
+            latency=HistogramValue.from_dict(dict(data.get("latency", {}))),
         )
-        for key, count in dict(data.get("hist", {})).items():
-            bucket = int(key)
-            if bucket < 0:
-                continue
-            if bucket >= len(stats.hist):  # widen, never drop samples
-                stats.hist.extend([0] * (bucket + 1 - len(stats.hist)))
-            stats.hist[bucket] = int(count)
-        return stats
 
 
 def _cpu_now() -> float:
@@ -384,12 +411,13 @@ class PipelineMetrics:
         """
         headers = ["stage", "calls", "total s", "ms/call", "p50 ms", "p95 ms", "max ms", "items"]
 
-        def ms_cell(value: Optional[float]) -> str:
-            return "-" if value is None else f"{value:.2f}"
+        def ms_cell(seconds: Optional[float]) -> str:
+            return "-" if seconds is None else f"{seconds * 1000.0:.2f}"
 
         rows: List[List[str]] = []
         for name in self.ordered_names():
             stats = self.stages[name]
+            latency = stats.latency
             label = ("  " + name) if "." in name else name
             rows.append(
                 [
@@ -397,9 +425,9 @@ class PipelineMetrics:
                     str(stats.calls),
                     f"{stats.seconds:.3f}",
                     f"{stats.ms_per_call:.2f}",
-                    ms_cell(stats.p50_ms),
-                    ms_cell(stats.p95_ms),
-                    ms_cell(stats.max_ms),
+                    ms_cell(latency.quantile(0.50)),
+                    ms_cell(latency.quantile(0.95)),
+                    ms_cell(latency.max if latency.count else None),
                     str(stats.items),
                 ]
             )

@@ -19,9 +19,15 @@ the layer that makes a whole *run* observable:
 * :mod:`repro.obs.flame` — collapsed-stack flamegraph and
   critical-path aggregation over :class:`repro.trace.Span` forests.
 
+The CLI writes every view of one run through one flag: ``--observe
+DIR`` on ``extract``, ``explain``, ``serve`` and ``table`` puts
+``profile.txt``, ``trace.json``, ``trace.jsonl``, ``flame.txt``,
+``metrics.prom`` and ``metrics.jsonl`` in DIR — each view the command
+has a source for.
+
 Layering: ``repro.obs`` imports only the base layers
 (:mod:`repro.instrument`, :mod:`repro.trace`); the perf runner, the
-resilience supervisor and the CLI import *it*, never the reverse.
+resilience fault sites and the CLI import *it*, never the reverse.
 See ``docs/OBSERVABILITY.md`` for the which-tool-when map.
 """
 
@@ -44,9 +50,9 @@ from repro.obs.flame import (
     write_flamegraph,
 )
 from repro.obs.names import KINDS, METRIC_NAMES, MetricDecl, declared
+from repro.instrument import HistogramValue
 from repro.obs.registry import (
     SCHEMA,
-    HistogramValue,
     MetricRegistry,
     get_registry,
     ingest_pipeline_metrics,

@@ -12,7 +12,7 @@ flattening the writer uses.
 :func:`parse_prometheus` is a deliberately small parser for exactly
 what :func:`to_prometheus` emits — it exists so the exposition is
 validated by a round trip in the test suite (including a
-``repro extract --metrics`` run), not so the repo can scrape other
+``repro extract --observe`` run), not so the repo can scrape other
 people's endpoints.
 
 Output is byte-stable for a given registry (names, label sets and
@@ -26,9 +26,9 @@ import pathlib
 import re
 from typing import Any, Dict, List, Tuple, Union
 
-from repro.instrument import bucket_upper_seconds
+from repro.instrument import HistogramValue, bucket_upper_seconds
 from repro.obs.names import METRIC_NAMES
-from repro.obs.registry import SCHEMA, HistogramValue, MetricRegistry
+from repro.obs.registry import SCHEMA, MetricRegistry
 
 #: JSONL dump schema tag (one record per series).
 JSONL_SCHEMA = "repro.obs.metrics/1"

@@ -1,19 +1,19 @@
 """Span-derived aggregations: collapsed flamegraph stacks, critical path.
 
-The PR 3 tracer already records where the time went — every span
-carries ``t0``/``t1`` — but a span forest is hard to eyeball at corpus
-scale.  Two standard aggregations fix that:
+The tracer already records where the time went — every span carries
+``t0``/``t1`` — but a span forest is hard to eyeball at corpus scale.
+Two standard aggregations fix that:
 
 * :func:`collapsed_stacks` — Brendan Gregg's collapsed-stack format
   (``corpus;doc[0];segment;segment.cuts 8123``): one line per unique
   span *path*, value = summed **self time** in integer microseconds
   (children's time excluded, so a flamegraph renderer reconstructs the
-  hierarchy exactly).  ``repro extract --flame out.txt`` writes this;
-  feed it to ``flamegraph.pl`` or speedscope.
+  hierarchy exactly).  ``repro extract --observe DIR`` writes this to
+  ``DIR/flame.txt``; feed it to ``flamegraph.pl`` or speedscope.
 * :func:`critical_path` — the chain of slowest children from the root
   down: the sequence of spans an infinitely parallel machine would
-  still have to wait for.  ``--flame`` prints it after writing the
-  stacks.
+  still have to wait for.  ``--observe`` prints it after listing the
+  files it wrote.
 
 Both are pure functions of the span forest; values are wall-clock and
 therefore environment data (never part of the determinism surface).

@@ -19,7 +19,10 @@ are keyed by the sorted label set, so emission order never matters.
 **Merge semantics** follow the declaration kind — counters add, gauges
 take the maximum (the high-water convention that makes RSS/CPU
 readings order-independent), histograms add bucket-wise (widening to
-the longer bucket array, never raising).  Merge is associative and
+the longer bucket array, never raising).  A histogram series holds a
+:class:`repro.instrument.HistogramValue`, the type a stage's
+``latency`` already is, so :func:`ingest_pipeline_metrics` folds each
+stage's histogram in through the public :meth:`Histogram.merge`.  Merge is associative and
 commutative, which is what lets the parallel
 :class:`~repro.perf.runner.CorpusRunner` fold per-worker registries
 back into one in any completion order; the hypothesis property test in
@@ -31,7 +34,9 @@ back into one in any completion order; the hypothesis property test in
 existing chunk-return path, and the parent merges.  After
 :meth:`normalized_dump` — deterministic metrics only, ``worker``
 labels folded away — a serial and a ``--workers N`` run of the same
-corpus are **byte-identical**.
+corpus are **byte-identical**.  ``repro extract --observe DIR`` (and
+``serve``) writes the run registry to ``DIR/metrics.prom`` and
+``DIR/metrics.jsonl``.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ import json
 import threading
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.instrument import HIST_BUCKETS, hist_bucket
+from repro.instrument import HistogramValue
 from repro.obs.names import METRIC_NAMES, NORMALIZED_DROPPED_LABELS, declared
 
 #: Bumped when the serialised registry layout changes incompatibly.
@@ -53,79 +58,6 @@ LabelKey = Tuple[Tuple[str, str], ...]
 def label_key(labels: Dict[str, Any]) -> LabelKey:
     """Canonical, hashable form of a label set (values stringified)."""
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
-
-
-class HistogramValue:
-    """One histogram series: log2 buckets + count/sum/max.
-
-    Buckets reuse the :data:`repro.instrument.HIST_BUCKETS` shape
-    (bucket 0 ≤ 1 µs, then doubling, last bucket open-ended) so stage
-    histograms ingest losslessly.  ``merge_from`` widens to the longer
-    bucket array instead of raising on mismatched widths.
-    """
-
-    __slots__ = ("buckets", "count", "sum", "max")
-
-    def __init__(self, buckets: Optional[List[int]] = None, count: int = 0,
-                 sum_: float = 0.0, max_: float = 0.0):
-        self.buckets: List[int] = list(buckets) if buckets is not None else [0] * HIST_BUCKETS
-        self.count = count
-        self.sum = sum_
-        self.max = max_
-
-    def observe(self, value: float) -> None:
-        bucket = hist_bucket(value)
-        if bucket >= len(self.buckets):
-            self.buckets.extend([0] * (bucket + 1 - len(self.buckets)))
-        self.buckets[bucket] += 1
-        self.count += 1
-        self.sum += value
-        if value > self.max:
-            self.max = value
-
-    def merge_from(self, other: "HistogramValue") -> None:
-        if len(other.buckets) > len(self.buckets):
-            self.buckets.extend([0] * (len(other.buckets) - len(self.buckets)))
-        for i, n in enumerate(other.buckets):
-            self.buckets[i] += n
-        self.count += other.count
-        self.sum += other.sum
-        if other.max > self.max:
-            self.max = other.max
-
-    def copy(self) -> "HistogramValue":
-        return HistogramValue(self.buckets, self.count, self.sum, self.max)
-
-    def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {"count": self.count, "sum": self.sum}
-        sparse = {str(i): n for i, n in enumerate(self.buckets) if n}
-        if sparse:
-            out["buckets"] = sparse
-        if self.max:
-            out["max"] = self.max
-        return out
-
-    @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "HistogramValue":
-        hist = HistogramValue(
-            count=int(data.get("count", 0)),
-            sum_=float(data.get("sum", 0.0)),
-            max_=float(data.get("max", 0.0)),
-        )
-        for key, n in dict(data.get("buckets", {})).items():
-            bucket = int(key)
-            if bucket >= len(hist.buckets):
-                hist.buckets.extend([0] * (bucket + 1 - len(hist.buckets)))
-            hist.buckets[bucket] = int(n)
-        return hist
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HistogramValue):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"HistogramValue(count={self.count}, sum={self.sum:.6f})"
 
 
 class _Handle:
@@ -172,6 +104,11 @@ class Histogram(_Handle):
 
     def observe(self, value: float) -> None:
         self._registry._observe(self._name, self._key, value)
+
+    def merge(self, value: HistogramValue) -> None:
+        """Fold a whole histogram (a copy of it) into this series."""
+        with self._registry._lock:
+            self._registry._merge_histogram(self._name, self._key, value)
 
     @property
     def value(self) -> HistogramValue:
@@ -253,6 +190,16 @@ class MetricRegistry:
                 hist = series[key] = HistogramValue()
             hist.observe(value)
 
+    def _merge_histogram(self, name: str, key: LabelKey, value: HistogramValue) -> None:
+        """Fold ``value`` into one histogram series; the caller holds
+        ``_lock``."""
+        series = self._series.setdefault(name, {})
+        hist = series.get(key)
+        if hist is None:
+            series[key] = value.copy()
+        else:
+            hist.merge_from(value)
+
     def _get_scalar(self, name: str, key: LabelKey) -> float:
         with self._lock:
             return float(self._series.get(name, {}).get(key, 0.0))
@@ -315,12 +262,7 @@ class MetricRegistry:
                     self._set_max(name, key, value)
                 elif kind == "histogram":
                     with self._lock:
-                        mine = self._series.setdefault(name, {})
-                        hist = mine.get(key)
-                        if hist is None:
-                            mine[key] = value.copy()
-                        else:
-                            hist.merge_from(value)
+                        self._merge_histogram(name, key, value)
                 else:
                     self._add(name, key, value)
         return self
@@ -400,12 +342,7 @@ class MetricRegistry:
                 if decl.kind == "gauge":
                     out._set_max(name, folded, value)
                 elif decl.kind == "histogram":
-                    mine = out._series.setdefault(name, {})
-                    hist = mine.get(folded)
-                    if hist is None:
-                        mine[folded] = value.copy()
-                    else:
-                        hist.merge_from(value)
+                    out._merge_histogram(name, folded, value)
                 else:
                     out._add(name, folded, value)
         return out
@@ -438,23 +375,13 @@ def ingest_pipeline_metrics(metrics, registry: "MetricRegistry") -> "MetricRegis
             registry.counter("repro.stage.items", stage=name).inc(stats.items)
         if stats.seconds:
             registry.counter("repro.stage.seconds", stage=name).inc(stats.seconds)
-        cpu = getattr(stats, "cpu_seconds", 0.0)
-        if cpu:
-            registry.counter("repro.stage.cpu_seconds", stage=name).inc(cpu)
-        sampled = sum(stats.hist)
-        if sampled:
-            hist = HistogramValue(
-                buckets=stats.hist, count=sampled,
-                sum_=stats.seconds, max_=stats.max_seconds,
+        if stats.cpu_seconds:
+            registry.counter("repro.stage.cpu_seconds", stage=name).inc(stats.cpu_seconds)
+        latency = stats.latency
+        if latency.count:
+            registry.histogram("repro.stage.latency", stage=name).merge(
+                HistogramValue(latency.buckets, latency.count, stats.seconds, latency.max)
             )
-            handle = registry.histogram("repro.stage.latency", stage=name)
-            with registry._lock:
-                series = registry._series.setdefault("repro.stage.latency", {})
-                mine = series.get(handle._key)
-                if mine is None:
-                    series[handle._key] = hist
-                else:
-                    mine.merge_from(hist)
     return registry
 
 

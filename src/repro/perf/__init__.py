@@ -9,9 +9,9 @@ error isolation, worker replacement and (under a
 retry, quarantine and checkpoint/resume.
 
 See ``docs/ARCHITECTURE.md`` for where it hooks into the pipeline and
-``docs/PROFILING.md`` for the operator's view (``--workers`` /
-``--profile``).  Speed is measured by the repo benchmark
-(``perfbench/``, ``BENCHMARK.json``).
+``docs/PROFILING.md`` for the operator's view (``--workers`` and the
+``profile.txt`` that ``--observe DIR`` writes).  Speed is measured by
+the repo benchmark (``perfbench/``, ``BENCHMARK.json``).
 """
 
 from repro.perf.runner import (

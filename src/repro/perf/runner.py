@@ -20,18 +20,22 @@ run is one loop over ``(doc index, attempt)`` tasks:
   documents (transient ``WorkerCrash`` failures) and is replaced;
 * **instrumentation** — every worker drains its
   :class:`~repro.instrument.PipelineMetrics`, trace spans and metric
-  registry into each task reply and the parent merges them, so
-  ``--profile`` tables cover the whole run;
+  registry into each task reply and the parent merges them, so the
+  ``profile.txt``, trace and metric files that ``repro extract
+  --observe DIR`` writes cover the whole run;
 * **supervision** — a
   :class:`~repro.resilience.supervisor.SupervisionPolicy` makes the
   same loop send one document per task under a per-document watchdog,
   retry transient failures with virtual backoff, quarantine what keeps
   failing and checkpoint every resolved document (docs/RESILIENCE.md).
+  Each decision is recorded once per view: its trace event, its
+  ``repro.resilience.*`` counter and its ``SupervisionEvent``.
 
 When the platform cannot spawn processes (restricted sandboxes), a
 private pool would fork beside another live thread, or a run exhausts
-its replacement workers, the remaining tasks run in-process and the
-run records why (:attr:`CorpusRunResult.degrade_reason`).
+its :data:`MAX_WORKER_REPLACEMENTS` replacement workers, the remaining
+tasks run in-process and the run records why
+(:attr:`CorpusRunResult.degrade_reason`).
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from repro.obs.registry import (
 from repro.obs.resources import sample_resources
 from repro.ocr.cache import TranscriptionCache
 from repro.resilience import faults as _faults
-from repro.resilience.budget import BackoffClock, backoff_seconds
+from repro.resilience.budget import backoff_seconds
 from repro.resilience.checkpoint import CheckpointLog, run_fingerprint
 from repro.resilience.quarantine import AttemptRecord, QuarantineEntry
 from repro.resilience.supervisor import (
@@ -82,6 +86,13 @@ PipelineFactory = Callable[[], "VS2Pipeline"]
 
 #: ``(doc index, attempt)`` — the unit the dispatch loop schedules.
 Task = Tuple[int, int]
+
+#: Seconds a worker may take to boot before it is killed and replaced.
+BOOT_TIMEOUT_S = 60.0
+
+#: Replacement workers one run (or one :meth:`WarmProcessPool.boot`)
+#: may start before it degrades to in-process execution (or raises).
+MAX_WORKER_REPLACEMENTS = 8
 
 
 @dataclass(frozen=True)
@@ -360,8 +371,7 @@ class WarmProcessPool:
     :class:`CorpusRunner` instances via ``pool=`` and the same
     initialised workers serve every run until :meth:`close`.  A worker
     that fails to boot, dies or overruns its deadline is killed and
-    replaced — by :meth:`boot` (up to ``max_worker_replacements`` of a
-    default :class:`~repro.resilience.supervisor.SupervisionPolicy`,
+    replaced — by :meth:`boot` (up to :data:`MAX_WORKER_REPLACEMENTS`,
     then ``ChildProcessError``) or by the run that noticed, within that
     run's replacement cap; every run first tops the pool back up.
 
@@ -407,8 +417,7 @@ class WarmProcessPool:
         ``RuntimeError`` naming the live threads when the caller is not
         the only thread.  The pool is closed before the error
         propagates."""
-        defaults = SupervisionPolicy()
-        spare = defaults.max_worker_replacements
+        spare = MAX_WORKER_REPLACEMENTS
         try:
             hazard = _fork_hazard()
             if hazard:
@@ -416,7 +425,7 @@ class WarmProcessPool:
                     f"WarmProcessPool.boot() {hazard}; boot the pool before starting threads"
                 )
             while True:
-                self._fill(defaults.boot_timeout_s)
+                self._fill()
                 if all(w.ready for w in self._workers.values()):
                     return self
                 for worker, message in self._poll():  # no tasks in flight: all losses
@@ -458,7 +467,7 @@ class WarmProcessPool:
         return False
 
     # -- engine internals (driven by boot() and CorpusRunner) -----------
-    def _spawn(self, boot_timeout_s: float) -> None:
+    def _spawn(self) -> None:
         self._seq += 1
         parent_conn, child_conn = Pipe()
         proc = get_context("fork").Process(
@@ -482,12 +491,12 @@ class WarmProcessPool:
         finally:
             child_conn.close()
         self._workers[self._seq] = _Worker(
-            self._seq, proc, parent_conn, time.monotonic() + boot_timeout_s
+            self._seq, proc, parent_conn, time.monotonic() + BOOT_TIMEOUT_S
         )
 
-    def _fill(self, boot_timeout_s: float) -> None:
+    def _fill(self) -> None:
         while len(self._workers) < self.workers:
-            self._spawn(boot_timeout_s)
+            self._spawn()
 
     def _poll(self) -> List[Tuple[_Worker, tuple]]:
         """Wait for worker messages (at most until the nearest deadline)
@@ -643,8 +652,6 @@ class _Run:
         self.runner = runner
         self.docs = docs
         self.policy = runner.supervision
-        #: boot timeout and replacement cap (policy defaults when unsupervised)
-        self.limits = self.policy or SupervisionPolicy()
         self.tracer = runner.tracer
         self.registry = runner.registry
         self.metrics = PipelineMetrics()
@@ -655,7 +662,6 @@ class _Run:
         self.degrade_reason: Optional[str] = None
         self.replacements = 0
         self.report = SupervisionReport() if self.policy is not None else None
-        self.clock = BackoffClock()
         self.attempt_log: Dict[int, List[AttemptRecord]] = {}
         self.checkpoint: Optional[CheckpointLog] = None
 
@@ -682,11 +688,9 @@ class _Run:
             for span in self.adopted:
                 self.tracer.adopt(span)
         if self.report is not None:
-            self.report.backoff_s = self.clock.total_s
-            if self.report.backoff_s:
-                self.registry.counter("repro.resilience.backoff_seconds").inc(
-                    self.report.backoff_s
-                )
+            backoff_s = self.report.backoff_s
+            if backoff_s:
+                self.registry.counter("repro.resilience.backoff_seconds").inc(backoff_s)
             if self.policy.quarantine_report_path:
                 self.report.quarantine.write(self.policy.quarantine_report_path)
         if self.checkpoint is not None:
@@ -753,7 +757,7 @@ class _Run:
         )
         try:
             try:
-                pool._fill(self.limits.boot_timeout_s)
+                pool._fill()
             except (OSError, ValueError) as exc:  # no process support: degrade, don't die
                 self._degrade(f"{type(exc).__name__}: {exc}", pending)
                 return
@@ -814,7 +818,6 @@ class _Run:
             doc = self.docs[index]
             if kind == "timeout":  # only supervised tasks carry a watchdog deadline
                 timeout_s = self.policy.timeout_s
-                self.metrics.count("resilience.timeout")
                 self.registry.counter("repro.resilience.timeouts").inc()
                 self.tracer.event(
                     "runner.timeout", doc_id=doc.doc_id, doc_index=index,
@@ -839,7 +842,7 @@ class _Run:
         """Boot a replacement worker within the run's replacement cap (the
         next run tops the pool up otherwise).  A private pool closes
         with the run, so it only replaces while documents remain open."""
-        if self.replacements >= self.limits.max_worker_replacements:
+        if self.replacements >= MAX_WORKER_REPLACEMENTS:
             return
         if not self.open and self.runner.pool is None:
             return
@@ -847,14 +850,12 @@ class _Run:
         _LOG.warning("replacing pool worker: %s", reason)
         self.tracer.event("runner.worker_replace", reason=reason)
         if self.report is not None:
-            self.report.worker_replacements += 1
             self.report.events.append(
                 SupervisionEvent("worker_replace", -1, "", 0, message=reason)
             )
-            self.metrics.count("resilience.worker_replace")
             self.registry.counter("repro.resilience.worker_replacements").inc()
         try:
-            pool._spawn(self.limits.boot_timeout_s)
+            pool._spawn()
         except (OSError, ValueError) as exc:  # the loop degrades once the pool empties
             _LOG.warning("could not spawn a replacement worker: %s", exc)
 
@@ -863,9 +864,8 @@ class _Run:
         self.degrade_reason = reason
         self.tracer.event("runner.degrade", reason=reason, to="serial")
         if self.report is not None:
-            self.report.degrade_reason = reason
             self.report.events.append(
-                SupervisionEvent("degrade_serial", -1, "", 0, message=reason)
+                SupervisionEvent("degrade", -1, "", 0, message=reason)
             )
         self._in_process(sorted(pending))
 
@@ -907,15 +907,12 @@ class _Run:
         backoff = backoff_seconds(
             attempt, self.policy.backoff_base_s, self.policy.backoff_cap_s
         )
-        self.clock.charge(backoff)
         self.report.events.append(
             SupervisionEvent(
                 "retry", index, doc.doc_id, attempt,
                 failure.error_type, failure.message, backoff,
             )
         )
-        self.metrics.count("resilience.retry")
-        self.metrics.record("resilience.backoff", backoff, calls=0)
         self.registry.counter(
             "repro.resilience.retries", error_type=failure.error_type
         ).inc()
@@ -949,7 +946,6 @@ class _Run:
             )
         )
         self.open.discard(index)
-        self.metrics.count("resilience.quarantine")
         self.registry.counter(
             "repro.resilience.quarantines", error_type=failure.error_type
         ).inc()
@@ -989,9 +985,7 @@ class _Run:
             else:
                 todo.append(index)
                 continue
-            self.report.resumed_docs += 1
             self.report.events.append(SupervisionEvent("resume", index, doc.doc_id, 0))
-            self.metrics.count("resilience.resume")
             self.registry.counter("repro.resilience.resumes").inc()
             self.tracer.event("runner.resume", doc_id=doc.doc_id, doc_index=index)
         return todo

@@ -12,14 +12,15 @@ Two halves, importable independently:
 * :mod:`repro.resilience.supervisor` — the policy and report of
   supervised execution, ``CorpusRunner(...,
   supervision=SupervisionPolicy(...))``: per-document timeouts with
-  worker replacement, deterministic retry with a virtual backoff
-  budget, quarantine, and JSONL checkpoint/resume.  The loop that
+  worker replacement, deterministic retry with virtual backoff (each
+  retry's :func:`backoff_seconds` is stored on its event; nothing
+  sleeps), quarantine, and JSONL checkpoint/resume.  The loop that
   applies it is the corpus runner's own (:mod:`repro.perf.runner`).
 """
 
 from __future__ import annotations
 
-from repro.resilience.budget import BackoffClock, backoff_seconds
+from repro.resilience.budget import backoff_seconds
 from repro.resilience.checkpoint import CHECKPOINT_SCHEMA, CheckpointLog, run_fingerprint
 from repro.resilience.faults import (
     FAULT_SITES,
@@ -51,7 +52,6 @@ from repro.resilience.supervisor import (
 )
 
 __all__ = [
-    "BackoffClock",
     "backoff_seconds",
     "CHECKPOINT_SCHEMA",
     "CheckpointLog",

@@ -1,11 +1,11 @@
-"""The injectable time budget: virtual backoff accounting, one blocker.
+"""The injectable time budget: virtual backoff, one blocker.
 
 This module is the **only** place in ``repro.core`` / ``repro.resilience``
 allowed to touch ``time.sleep`` — the RES001 lint rule enforces it.
-Everything else expresses waiting as *virtual seconds* charged to a
-:class:`BackoffClock`, so a supervised run's retry schedule is exact,
-deterministic and free: tests never sleep, and the accounted budget
-still rolls up into the supervision report.
+Everything else expresses waiting as *virtual seconds*: the supervised
+runner stores each retry's :func:`backoff_seconds` on its
+``SupervisionEvent`` and the report sums them, so a retry schedule is
+exact, deterministic and free — tests never sleep.
 
 ``block_forever`` is the one sanctioned real blocker — it exists solely
 so an injected ``hang`` fault inside a supervised worker really does
@@ -15,7 +15,6 @@ hang (and gets killed by the parent watchdog) instead of simulating.
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional
 
 
 def backoff_seconds(attempt: int, base_s: float, cap_s: float) -> float:
@@ -29,30 +28,6 @@ def backoff_seconds(attempt: int, base_s: float, cap_s: float) -> float:
     if attempt < 1:
         attempt = 1
     return min(cap_s, base_s * (2.0 ** (attempt - 1)))
-
-
-class BackoffClock:
-    """Accounts waiting without performing it.
-
-    :meth:`charge` adds virtual seconds to :attr:`total_s`.  A caller
-    that genuinely wants wall-clock pacing (none of the shipped code
-    paths do) can inject a ``sleeper`` callable; the default is pure
-    accounting, which keeps the chaos suite instant and the retry
-    ledger deterministic.
-    """
-
-    __slots__ = ("total_s", "_sleeper")
-
-    def __init__(self, sleeper: Optional[Callable[[float], None]] = None):
-        self.total_s = 0.0
-        self._sleeper = sleeper
-
-    def charge(self, seconds: float) -> None:
-        if seconds <= 0.0:
-            return
-        self.total_s += seconds
-        if self._sleeper is not None:
-            self._sleeper(seconds)
 
 
 def block_forever(poll_s: float = 0.05) -> None:  # pragma: no cover - killed externally

@@ -12,8 +12,9 @@ dispatch loop (:mod:`repro.perf.runner`) under this policy:
 * **deterministic retry** — transient
   :class:`~repro.perf.runner.DocumentFailure`\\ s are
   retried up to :attr:`SupervisionPolicy.max_attempts` with capped
-  exponential backoff charged to a virtual
-  :class:`~repro.resilience.budget.BackoffClock` (no sleeping);
+  exponential :func:`~repro.resilience.budget.backoff_seconds`,
+  stored on the retry's :class:`SupervisionEvent` (virtual: nothing
+  sleeps);
 * **quarantine** — documents that exhaust the budget (or fail
   permanently) land in a machine-readable
   :class:`~repro.resilience.quarantine.QuarantineReport`;
@@ -22,15 +23,15 @@ dispatch loop (:mod:`repro.perf.runner`) under this policy:
   is appended to a JSONL log and a rerun skips completed documents,
   reproducing the uninterrupted result byte-identically.
 
-Every supervision decision emits a registered trace event
-(``runner.retry`` / ``runner.timeout`` / ``runner.quarantine`` /
-``runner.worker_replace`` / ``runner.resume`` / ``runner.degrade``),
-counts into ``PipelineMetrics`` under the ``resilience.*`` stages and
-into the run's :class:`repro.obs.registry.MetricRegistry` as
-``repro.resilience.*`` counters (the metric mirror of the ledger), and
-is recorded as a :class:`SupervisionEvent` whose canonical
-:meth:`~SupervisionReport.ledger` is byte-identical between serial and
-parallel runs of the same plan seed.
+Every supervision decision is recorded once per view: a registered
+trace event (``runner.retry`` / ``runner.timeout`` /
+``runner.quarantine`` / ``runner.worker_replace`` / ``runner.resume`` /
+``runner.degrade``), a ``repro.resilience.*`` counter in the run's
+:class:`repro.obs.registry.MetricRegistry`, and a
+:class:`SupervisionEvent`.  The report's totals (retries' backoff,
+resumed documents, replaced workers) are computed from those events,
+and its canonical :meth:`~SupervisionReport.ledger` is byte-identical
+between serial and parallel runs of the same plan seed.
 """
 
 from __future__ import annotations
@@ -49,20 +50,16 @@ class SupervisionPolicy:
     pool watchdog (``None`` disables it; in-process tasks cannot be
     preempted and ignore it).  ``max_attempts`` bounds tries per
     document; backoff between attempt *k* and *k+1* is
-    ``min(cap, base * 2**(k-1))`` virtual seconds.
-    ``boot_timeout_s`` bounds a worker's boot, and
-    ``max_worker_replacements`` caps how many replacement workers one
-    run may boot before degrading to in-process execution; runs without
-    a policy (and :meth:`~repro.perf.runner.WarmProcessPool.boot`) use
-    the defaults of these two.
+    ``min(cap, base * 2**(k-1))`` virtual seconds.  The worker boot
+    timeout and the per-run replacement cap are the runner's constants
+    (:data:`repro.perf.runner.BOOT_TIMEOUT_S`,
+    :data:`repro.perf.runner.MAX_WORKER_REPLACEMENTS`).
     """
 
     timeout_s: Optional[float] = 60.0
     max_attempts: int = 3
     backoff_base_s: float = 0.05
     backoff_cap_s: float = 2.0
-    boot_timeout_s: float = 60.0
-    max_worker_replacements: int = 8
     checkpoint_path: Optional[str] = None
     quarantine_report_path: Optional[str] = None
 
@@ -71,7 +68,7 @@ class SupervisionPolicy:
 class SupervisionEvent:
     """One supervision decision, in machine-readable form."""
 
-    kind: str  # retry | timeout | quarantine | worker_replace | resume | degrade_serial
+    kind: str  # retry | quarantine | worker_replace | resume | degrade
     doc_index: int
     doc_id: str
     attempt: int
@@ -82,25 +79,37 @@ class SupervisionEvent:
 
 @dataclass
 class SupervisionReport:
-    """Everything the supervisor decided during one run."""
+    """Everything the supervisor decided during one run.
+
+    The totals are read-only views of :attr:`events`, so each decision
+    is stored once."""
 
     events: List[SupervisionEvent] = field(default_factory=list)
     quarantine: QuarantineReport = field(default_factory=QuarantineReport)
     attempts: Dict[str, int] = field(default_factory=dict)
-    worker_replacements: int = 0
-    resumed_docs: int = 0
-    backoff_s: float = 0.0
-    degrade_reason: Optional[str] = None
+
+    @property
+    def worker_replacements(self) -> int:
+        return sum(1 for e in self.events if e.kind == "worker_replace")
+
+    @property
+    def resumed_docs(self) -> int:
+        return sum(1 for e in self.events if e.kind == "resume")
+
+    @property
+    def backoff_s(self) -> float:
+        """Virtual seconds of backoff charged before the run's retries."""
+        return sum((e.backoff_s for e in self.events if e.kind == "retry"), 0.0)
 
     def ledger(self) -> List[Dict[str, Any]]:
         """Canonical per-document decision ledger: deterministic order,
         no timestamps, no process identity — the serial-vs-parallel
-        parity surface.  ``worker_replace`` events are excluded (worker
-        scheduling is inherently parallel-only)."""
+        parity surface.  ``worker_replace`` and ``degrade`` events are
+        excluded (worker scheduling is inherently parallel-only)."""
         rows = [
             asdict(e)
             for e in self.events
-            if e.kind not in {"worker_replace", "degrade_serial"}
+            if e.kind not in {"worker_replace", "degrade"}
         ]
         rows.sort(key=lambda r: (r["doc_index"], r["attempt"], r["kind"], r["doc_id"]))
         return rows

@@ -16,14 +16,10 @@ import pytest
 from repro.__main__ import main as repro_main
 from repro.analysis.lint import (
     ALL_RULES,
-    Violation,
     format_human,
     format_json,
     lint_paths,
-    load_baseline,
-    write_baseline,
 )
-from repro.analysis.lint.engine import apply_baseline
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -270,28 +266,6 @@ class TestEngine:
         assert run_lint(tmp_path, source, "repro/core/lazy.py") == []
 
 
-class TestBaseline:
-    def test_roundtrip_and_filtering(self, tmp_path):
-        dirty = "import random\nvalue = random.random()\n"
-        violations = run_lint(tmp_path, dirty, "mod.py")
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, violations)
-        fingerprints = load_baseline(baseline_path)
-        assert fingerprints == {v.fingerprint() for v in violations}
-        assert apply_baseline(violations, fingerprints) == []
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "absent.json") == set()
-
-    def test_fingerprint_survives_line_shift(self):
-        a = Violation("m.py", 3, 1, "DET001", "msg")
-        b = Violation("m.py", 30, 9, "DET001", "msg")
-        assert a.fingerprint() == b.fingerprint()
-
-    def test_shipped_baseline_is_empty(self):
-        assert load_baseline(REPO_ROOT / "lint_baseline.json") == set()
-
-
 class TestOutput:
     def test_json_format(self, tmp_path):
         import json
@@ -325,16 +299,6 @@ class TestCli:
         assert repro_main(["check", "--list-rules"]) == 0
         out = capsys.readouterr().out
         assert "DET001" in out and "LAYER003" in out
-
-    def test_write_baseline_then_clean(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import random\nvalue = random.random()\n")
-        baseline = tmp_path / "baseline.json"
-        assert repro_main(
-            ["check", str(tmp_path), "--baseline", str(baseline), "--write-baseline"]
-        ) == 0
-        capsys.readouterr()
-        assert repro_main(["check", str(tmp_path), "--baseline", str(baseline)]) == 0
 
 
 class TestSelfLint:

@@ -6,7 +6,8 @@ serialisation round-trips losslessly), the serial and parallel
 execution paths produce byte-identical normalised dumps, the
 ``repro.resilience.*`` counters mirror the supervision ledger exactly,
 the Prometheus exposition survives a parse round-trip, and a pooled
-``repro extract --metrics`` run exports a clean, complete registry.
+``repro extract --observe DIR`` run writes all six views of the run
+(a clean, complete registry among them).
 """
 
 from __future__ import annotations
@@ -179,6 +180,8 @@ class TestChaosCounters:
         assert total("repro.resilience.backoff_seconds") == pytest.approx(
             report.backoff_s
         )
+        assert total("repro.resilience.resumes") == report.resumed_docs == 0
+        assert total("repro.resilience.worker_replacements") == report.worker_replacements == 0
         injected = {
             (labels["site"], labels["kind"]): v
             for labels, v in outcome.registry.samples("repro.faults.injected")
@@ -263,17 +266,20 @@ class TestPrometheusExport:
 # ----------------------------------------------------------------------
 @pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
 def test_extract_metrics_export_is_valid_and_clean(tmp_path, capsys):
-    """A pooled ``repro extract --metrics/--metrics-jsonl`` run: the
-    exposition parses, the dump loads, every document succeeded, and
-    every pipeline stage recorded latency samples."""
+    """A pooled ``repro extract --observe DIR`` run: the exposition
+    parses, the dump loads, every document succeeded, every pipeline
+    stage recorded latency samples, and the other four views of the
+    same run (profile, both traces, flamegraph) are written too."""
     from repro.__main__ import main
+    from repro.trace import validate_chrome_trace, validate_jsonl
 
-    prom, dump = tmp_path / "run.prom", tmp_path / "run.jsonl"
+    out = tmp_path / "observe"
     assert main([
         "extract", "--dataset", "D2", "--n", "4", "--workers", "2",
-        "--metrics", str(prom), "--metrics-jsonl", str(dump),
+        "--observe", str(out),
     ]) == 0
-    capsys.readouterr()
+    printed = capsys.readouterr().out
+    prom, dump = out / "metrics.prom", out / "metrics.jsonl"
     assert validate_prometheus(prom) > 0
     read_metrics_jsonl(dump)
     samples = [(name, dict(labels), value)
@@ -287,3 +293,17 @@ def test_extract_metrics_export_is_valid_and_clean(tmp_path, capsys):
                       if name == "repro_stage_latency_count"}
     for stage in ("ocr", "deskew", "segment", "select"):
         assert latency_counts.get(stage, 0) > 0, f"stage {stage} has no latency samples"
+
+    assert validate_chrome_trace(out / "trace.json") > 0
+    assert validate_jsonl(out / "trace.jsonl") > 0
+    profile_rows = {
+        line.split("|")[0].strip()
+        for line in (out / "profile.txt").read_text().splitlines() if "|" in line
+    }
+    assert {"ocr", "deskew", "segment", "select"} <= profile_rows
+    assert (out / "flame.txt").read_text().strip()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "flame.txt", "metrics.jsonl", "metrics.prom",
+        "profile.txt", "trace.json", "trace.jsonl",
+    ]
+    assert "critical path:" in printed

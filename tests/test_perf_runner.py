@@ -125,14 +125,14 @@ class TestLatencyHistograms:
         m = PipelineMetrics()
         for seconds in (0.001, 0.002, 0.004, 0.100):
             m.record("segment", seconds)
-        stats = m["segment"]
-        assert sum(stats.hist) == 4
-        assert stats.max_seconds == pytest.approx(0.100)
-        assert stats.p50_ms is not None and stats.p95_ms is not None
+        latency = m["segment"].latency
+        assert latency.count == sum(latency.buckets) == 4
+        assert latency.max == pytest.approx(0.100)
+        p50, p95 = latency.quantile(0.50), latency.quantile(0.95)
+        assert p50 is not None and p95 is not None
         # Quantiles are bucket upper-edge estimates: monotone and
         # bounded by the observed maximum.
-        assert stats.p50_ms <= stats.p95_ms <= stats.max_ms
-        assert stats.max_ms == pytest.approx(100.0)
+        assert p50 <= p95 <= latency.max
 
     def test_aggregate_records_stay_out_of_the_histogram(self):
         """A multi-call aggregate carries no per-call distribution, so
@@ -140,22 +140,22 @@ class TestLatencyHistograms:
         m = PipelineMetrics()
         m.record("ocr", 1.5, calls=3)
         assert m["ocr"].calls == 3
-        assert sum(m["ocr"].hist) == 0
-        assert m["ocr"].p50_ms is None and m["ocr"].max_ms is None
+        assert m["ocr"].latency.count == sum(m["ocr"].latency.buckets) == 0
+        assert m["ocr"].latency.quantile(0.50) is None and m["ocr"].latency.max == 0.0
 
     def test_count_is_not_a_latency_sample(self):
         m = PipelineMetrics()
         m.count("ocr.cache_hit", items=1)
         assert m["ocr.cache_hit"].calls == 1
-        assert sum(m["ocr.cache_hit"].hist) == 0
+        assert m["ocr.cache_hit"].latency.count == 0
 
     def test_merge_folds_histograms(self):
         a, b = PipelineMetrics(), PipelineMetrics()
         a.record("segment", 0.010)
         b.record("segment", 0.500)
         a.merge(b)
-        assert sum(a["segment"].hist) == 2
-        assert a["segment"].max_seconds == pytest.approx(0.500)
+        assert a["segment"].latency.count == 2
+        assert a["segment"].latency.max == pytest.approx(0.500)
 
     def test_format_table_has_percentile_columns(self):
         m = PipelineMetrics()
@@ -451,7 +451,7 @@ class TestWarmProcessPool:
 
         serial = CorpusRunner("D2").run(corpus)
 
-        def no_fork(self, boot_timeout_s):
+        def no_fork(self):
             raise AssertionError("forked beside a live thread")
 
         monkeypatch.setattr(WarmProcessPool, "_spawn", no_fork)
@@ -533,28 +533,29 @@ class TestStageStatsEdges:
 
         stats = StageStats()
         stats.add(1.5, calls=3)  # aggregate only: no histogram samples
-        assert stats.quantile_seconds(0.95) is None
-        assert stats.p50_ms is None and stats.p95_ms is None
+        assert stats.latency.quantile(0.95) is None
+        assert stats.latency.quantile(0.50) is None
 
     def test_merge_widens_shorter_histogram(self):
-        from repro.instrument import StageStats, hist_bucket
+        from repro.instrument import HistogramValue, StageStats, hist_bucket
 
-        short, long = StageStats(hist=[0] * 5), StageStats()
-        short.hist[2] = 4
+        short, long = StageStats(latency=HistogramValue([0] * 5)), StageStats()
+        short.latency.buckets[2] = 4
         long.observe(0.5)  # lands far beyond bucket 5
         short.merge_from(long)
-        assert len(short.hist) == len(long.hist)
-        assert short.hist[2] == 4
-        assert short.hist[hist_bucket(0.5)] == 1
+        assert len(short.latency.buckets) == len(long.latency.buckets)
+        assert short.latency.buckets[2] == 4
+        assert short.latency.buckets[hist_bucket(0.5)] == 1
 
     def test_from_dict_widens_for_out_of_range_buckets(self):
         from repro.instrument import HIST_BUCKETS, StageStats
 
-        stats = StageStats.from_dict(
-            {"calls": 1, "seconds": 1.0, "hist": {str(HIST_BUCKETS + 3): 1}}
-        )
-        assert sum(stats.hist) == 1  # widened, never dropped
-        assert len(stats.hist) == HIST_BUCKETS + 4
+        stats = StageStats.from_dict({
+            "calls": 1, "seconds": 1.0,
+            "latency": {"count": 1, "sum": 1.0, "buckets": {str(HIST_BUCKETS + 3): 1}},
+        })
+        assert sum(stats.latency.buckets) == 1  # widened, never dropped
+        assert len(stats.latency.buckets) == HIST_BUCKETS + 4
 
     def test_cpu_seconds_round_trips_and_merges(self):
         from repro.instrument import StageStats

@@ -288,6 +288,19 @@ def supervised(docs, plan, workers=1, tracer=None, **policy):
     return runner.run(docs)
 
 
+def assert_totals_match_counters(outcome):
+    """The report's totals, computed from its events, equal the
+    ``repro.resilience.*`` counters recording the same decisions."""
+    report = outcome.supervision
+
+    def total(name):
+        return sum(v for _, v in outcome.registry.samples(name))
+
+    assert total("repro.resilience.backoff_seconds") == report.backoff_s
+    assert total("repro.resilience.resumes") == report.resumed_docs
+    assert total("repro.resilience.worker_replacements") == report.worker_replacements
+
+
 class TestSupervisedSerial:
     def test_flaky_doc_succeeds_on_retry(self):
         docs = corpus()
@@ -364,6 +377,8 @@ class TestCheckpointResume:
         docs = corpus()
         baseline = supervised(docs, self._plan(), checkpoint_path=str(tmp_path / "a.jsonl"))
         want = canonical(baseline)
+        assert baseline.supervision.backoff_s > 0  # doc 1 retried once
+        assert_totals_match_counters(baseline)
 
         # Uninterrupted first run, then simulate a kill by truncating
         # the log mid-record (a torn final write).
@@ -378,11 +393,13 @@ class TestCheckpointResume:
         assert resumed.supervision.resumed_docs == 3
         resume_docs = [e.doc_index for e in resumed.supervision.events if e.kind == "resume"]
         assert resume_docs == [0, 1, 2]
+        assert_totals_match_counters(resumed)
 
         # A third run over the repaired log resumes everything.
         final = supervised(docs, self._plan(), checkpoint_path=str(path))
         assert canonical(final) == want
         assert final.supervision.resumed_docs == len(docs)
+        assert_totals_match_counters(final)
 
     def test_truncated_payload_in_final_record_is_dropped(self, tmp_path, caplog):
         docs = corpus()
@@ -446,6 +463,8 @@ class TestCheckpointResume:
         assert [f.doc_id for f in resumed.failures] == [docs[3].doc_id]
         assert resumed.failures[0].error_type == first.failures[0].error_type
         assert resumed.supervision.quarantine.doc_ids() == [docs[3].doc_id]
+        assert_totals_match_counters(first)
+        assert_totals_match_counters(resumed)
 
     def test_checkpoint_refuses_a_different_run(self, tmp_path):
         docs = corpus()
@@ -471,6 +490,7 @@ class TestSupervisedParallel:
         report = outcome.supervision
         assert report.attempts[docs[1].doc_id] == 2
         assert report.worker_replacements >= 1
+        assert_totals_match_counters(outcome)
         kinds = [(e.kind, e.doc_index) for e in report.events if e.doc_index == 1]
         assert ("retry", 1) in kinds
         retry = next(e for e in report.events if e.kind == "retry")

@@ -665,7 +665,11 @@ class TestServeHTTP:
     def test_server_lifecycle_sigterm_drains_cleanly(self, tmp_path):
         import urllib.request
 
-        proc, port = self._boot(tmp_path)
+        from repro.obs import validate_prometheus
+        from repro.trace import validate_jsonl
+
+        observe = tmp_path / "observe"
+        proc, port = self._boot(tmp_path, "--observe", str(observe))
         try:
             status, body = self._get(port, "/health")
             assert status == 200 and json.loads(body)["status"] == "ok"
@@ -698,6 +702,10 @@ class TestServeHTTP:
             os.killpg(pgid, 0)
         record = json.loads((tmp_path / "drain.json").read_text())
         assert record["accounting"]["unaccounted"] == 0
+        # --observe held the spans until the drain, then wrote every view.
+        assert validate_prometheus(observe / "metrics.prom") > 0
+        assert validate_jsonl(observe / "trace.jsonl") > 0
+        assert f"wrote {observe / 'metrics.prom'}" in out
 
     def test_http_loadgen_accounts_for_every_request(self, tmp_path):
         from repro.serve import run_http

@@ -304,12 +304,40 @@ class TestCli:
         jsonl = tmp_path / "trace.jsonl"
         code = repro_main([
             "extract", "--dataset", "d2", "--n", "2", "--seed", "3",
-            "--trace", str(chrome), "--trace-jsonl", str(jsonl),
+            "--observe", str(tmp_path),
         ])
         assert code == 0
         assert validate_chrome_trace(chrome) > 0
         assert validate_jsonl(jsonl) > 0
         assert "Perfetto" in capsys.readouterr().out
+
+    def test_explain_observe_writes_trace_and_profile(self, tmp_path, capsys):
+        out = tmp_path / "observe"
+        assert repro_main(
+            ["explain", "--dataset", "D2", "--doc", "0", "--observe", str(out)]
+        ) == 0
+        assert "Decision report" in capsys.readouterr().out
+        assert validate_chrome_trace(out / "trace.json") > 0
+        assert validate_jsonl(out / "trace.jsonl") > 0
+        profile = (out / "profile.txt").read_text()
+        for stage in ("ocr", "deskew", "segment", "select"):
+            assert f"\n{stage} " in profile, stage
+        assert not (out / "metrics.prom").exists()  # explain keeps no registry
+
+    def test_table_observe_writes_only_the_profile(self, tmp_path, capsys):
+        """``table`` has a stage table but no tracer or registry, so
+        ``--observe`` writes exactly one view."""
+        out = tmp_path / "observe"
+        assert repro_main(["table", "6", "--n-d2", "2", "--observe", str(out)]) == 0
+        assert "wrote" in capsys.readouterr().out
+        assert [p.name for p in out.iterdir()] == ["profile.txt"]
+        assert "segment" in (out / "profile.txt").read_text()
+
+    def test_no_observe_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert repro_main(["extract", "--dataset", "D2", "--n", "1"]) == 0
+        assert "wrote" not in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
     def test_explain_prints_ledgers(self, capsys):
         assert repro_main(["explain", "--dataset", "D2", "--doc", "0"]) == 0
