@@ -4,25 +4,14 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint lint-cold lint-cache contracts bench-smoke perfbench-selftest tables trace-smoke chaos-smoke serve-smoke docs-check
+.PHONY: test lint contracts bench-smoke perfbench-selftest tables trace-smoke chaos-smoke serve-smoke docs-check
 
 test: lint       ## the tier-1 suite (~600 unit/integration tests) + contract pass
 	$(PY) -m pytest -x -q
 	REPRO_CONTRACTS=1 $(PY) -m pytest -x -q -m contracts
 
 lint:            ## repo-specific static analysis (see docs/STATIC_ANALYSIS.md)
-	$(PY) -m repro check src tests --cache .repro_check_cache.json --stats --timings
-
-lint-cold:       ## same, but from scratch (ignores and rebuilds the result cache)
-	rm -f .repro_check_cache.json
-	$(PY) -m repro check src tests --cache .repro_check_cache.json --stats --timings
-
-lint-cache:      ## cold+warm result-cache round trip; the warm run must parse nothing
-	rm -f .lint_cache_check.json
-	$(PY) -m repro check src tests --cache .lint_cache_check.json --stats
-	$(PY) -m repro check src tests --cache .lint_cache_check.json --stats 2>&1 \
-	    | tee /dev/stderr | grep -qF "file(s), 0 parsed,"
-	rm -f .lint_cache_check.json
+	$(PY) -m repro check src tests
 
 contracts:       ## the runtime-contract test subset with contracts forced on
 	REPRO_CONTRACTS=1 $(PY) -m pytest -x -q -m contracts

@@ -277,22 +277,13 @@ def _cmd_render(args: argparse.Namespace) -> int:
 def _explain_rule(rule_id: str) -> int:
     """Print the catalogue entry (doc, example, fix) for one rule."""
     from repro.analysis.lint import ALL_RULES
-    from repro.analysis.passes import load_catalogue
-    from repro.analysis.runner import PARSE_RULE
+    from repro.analysis.lint.engine import PARSE_RULE
 
     rule_id = rule_id.upper()
-    sections = None
     if rule_id in ALL_RULES:
         rule = ALL_RULES[rule_id]
-        doc = (rule.__doc__ or "").strip()
-        sections = (rule.summary, doc, rule.example, rule.fix)
-    else:
-        for pass_obj in load_catalogue().values():
-            if rule_id in pass_obj.rules:
-                entry = pass_obj.rules[rule_id]
-                sections = (entry.summary, entry.doc, entry.example, entry.fix)
-                break
-    if sections is None and rule_id == PARSE_RULE:
+        sections = (rule.summary, (rule.__doc__ or "").strip(), rule.example, rule.fix)
+    elif rule_id == PARSE_RULE:
         sections = (
             "every linted file must parse",
             "Emitted when a file cannot be parsed as Python; the rest of "
@@ -300,7 +291,7 @@ def _explain_rule(rule_id: str) -> int:
             "def broken(:",
             "fix the syntax error",
         )
-    if sections is None:
+    else:
         print(f"unknown rule {rule_id!r}; see repro check --list-rules", file=sys.stderr)
         return 2
     summary, doc, example, fix = sections
@@ -316,38 +307,38 @@ def _explain_rule(rule_id: str) -> int:
     return 0
 
 
+def _rule_list(value: str) -> list:
+    """``--rules`` value: comma-separated rule IDs, each one known."""
+    from repro.analysis.lint.engine import unknown_rule_ids
+
+    ids = [r.strip().upper() for r in value.split(",") if r.strip()]
+    unknown = unknown_rule_ids(ids)
+    if not ids or unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown rule id(s): {', '.join(unknown) or repr(value)}; "
+            "see repro check --list-rules"
+        )
+    return ids
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.analysis.lint import ALL_RULES, format_human, format_json
-    from repro.analysis.passes import load_catalogue
-    from repro.analysis.runner import check_project
+    from repro.analysis.lint import ALL_RULES, format_human, format_json, lint_paths
 
     if args.list_rules:
         for rule_id, rule in sorted(ALL_RULES.items()):
             print(f"{rule_id}  {rule.summary}")
-        for pass_id, pass_obj in sorted(load_catalogue().items()):
-            for rule_id, entry in sorted(pass_obj.rules.items()):
-                print(f"{rule_id}  {entry.summary}  [{pass_id} pass]")
         return 0
     if args.explain:
         return _explain_rule(args.explain)
 
-    result = check_project(
-        [Path(p) for p in args.paths],
-        rule_ids=args.rules or None,
-        cache_path=Path(args.cache) if args.cache else None,
-    )
-    violations = result.violations
-    if args.stats:
-        s = result.stats
-        print(
-            f"repro check stats: {s['files']} file(s), {s['parsed']} parsed, "
-            f"{s['cached']} from cache",
-            file=sys.stderr,
-        )
-    if args.timings:
-        print(result.metrics.format_table(title="repro check timings"), file=sys.stderr)
+    paths = [Path(p) for p in args.paths]
+    missing = [str(p) for p in paths if not p.exists()]
+    if missing:
+        print(f"repro check: no such file or directory: {', '.join(missing)}", file=sys.stderr)
+        return 2
+    violations = lint_paths(paths, rule_ids=args.rules)
     print(format_json(violations) if args.format == "json" else format_human(violations))
     return 1 if violations else 0
 
@@ -475,18 +466,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("paths", nargs="*", default=["src", "tests"],
                    help="files or directories to lint (default: src tests)")
     p.add_argument("--format", choices=["human", "json"], default="human")
-    p.add_argument("--rules", nargs="*", metavar="RULE",
-                   help="restrict the run to these rule IDs")
+    p.add_argument("--rules", type=_rule_list, metavar="RULE[,RULE...]", default=None,
+                   help="restrict the run to these comma-separated rule IDs")
     p.add_argument("--list-rules", action="store_true",
-                   help="print the rule catalogue (module rules + passes) and exit")
+                   help="print the rule catalogue and exit")
     p.add_argument("--explain", metavar="RULEID",
                    help="print one rule's documentation, example and fix, then exit")
-    p.add_argument("--cache", metavar="PATH", default=None,
-                   help="content-hash result cache file (off unless given)")
-    p.add_argument("--stats", action="store_true",
-                   help="print file/parse/cache counters to stderr")
-    p.add_argument("--timings", action="store_true",
-                   help="print per-stage and per-pass wall time to stderr")
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("render", help="rasterise a synthetic document to PPM")

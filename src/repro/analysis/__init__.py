@@ -2,9 +2,11 @@
 
 Two halves, one goal — keeping the reproduction *trustworthy*:
 
-* :mod:`repro.analysis.lint` — an AST linter whose rules encode this
-  repo's determinism, layering and coordinate-frame invariants (run it
-  with ``python -m repro check`` or ``make lint``);
+* :mod:`repro.analysis.lint` — an AST linter whose rules each look at
+  one file and encode this repo's determinism, layering and
+  coordinate-frame hygiene (run it with ``python -m repro check`` or
+  ``make lint``); properties that span modules are checked by tests
+  that run the program;
 * :mod:`repro.analysis.contracts` — optional runtime invariant checks
   on the pipeline's geometric claims (cuts lie in whitespace, layout
   trees nest, Pareto fronts are non-dominated), enabled with

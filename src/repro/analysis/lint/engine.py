@@ -1,31 +1,22 @@
 """Lint engine: per-file model, suppression, output.
 
-The engine is rule-agnostic.  A *module-scope rule* is an object with a
-``rule_id``, a one-line ``summary`` and a ``check(module)`` generator
-yielding :class:`Violation`; rules register themselves with
-:func:`register` (see :mod:`repro.analysis.lint.rules` for the
-catalogue).  *Interprocedural passes* — which see the whole
-:class:`repro.analysis.index.ProjectIndex` rather than one file — live
-in :mod:`repro.analysis.passes` and reuse the same :class:`Violation`
-and suppression machinery.
+The engine is rule-agnostic.  A rule is an object with a ``rule_id``,
+a one-line ``summary`` and a ``check(module)`` generator yielding
+:class:`Violation`; rules register themselves with :func:`register`
+(see :mod:`repro.analysis.lint.rules` for the catalogue).  Every rule
+sees one file at a time: :func:`lint_paths` discovers the files, parses
+each one (or reports ``PARSE001``), runs the rules and sorts the hits.
+Properties that need the whole program — a call chain, a frame that
+crosses modules, a name registry — are checked by tests that run it
+(docs/STATIC_ANALYSIS.md, "Dynamic replacements").
 
 Suppression is per-line: a trailing ``noqa`` comment in either the
-historical form (``repro: noqa[DET001,FRAME101]``) or the conventional
-form (``noqa: DET001,FRAME101``) silences the named rule(s) on that
+historical form (``repro: noqa[DET001,MUT001]``) or the conventional
+form (``noqa: DET001,MUT001``) silences the named rule(s) on that
 line.  A *bare* noqa (no rule list) still blanket-silences the line
 but is itself reported as ``SUPP001`` — unscoped suppressions hide
 future findings.  There is no baseline: a new rule lands with its
 hits fixed (``TestSelfLint`` requires a clean tree).
-
-Beyond noqa, two pragma vocabularies feed the interprocedural passes:
-
-* ``det: reviewed`` (trailing, on a ``def`` line) — the function was
-  audited and its impure-looking sinks do not reach the output; the
-  determinism pass stops propagating through it.
-* ``frame: <f>`` / ``frame: <f> -> <g>`` (trailing on a ``def`` line,
-  or a full-line comment for a whole module) — declares the coordinate
-  frame of the bbox values a function consumes/produces (``->`` for
-  converters); ``frame: any`` marks frame-polymorphic code.
 """
 
 from __future__ import annotations
@@ -35,21 +26,13 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
 #: Both noqa spellings: historical ``repro: noqa[DET001]`` and
-#: conventional ``noqa: DET001,FRAME101``; a match with neither a
+#: conventional ``noqa: DET001,MUT001``; a match with neither a
 #: bracketed nor a colon list is *bare* (blanket + SUPP001).
 _NOQA_RE = re.compile(
     r"#\s*(?:repro:\s*)?noqa(?:\s*\[(?P<bracket>[A-Za-z0-9_,\s]+)\]|:\s*(?P<colon>[A-Za-z0-9_,\s]+))?"
-)
-
-#: Trailing ``det: reviewed`` pragma on a ``def`` line.
-_DET_REVIEWED_RE = re.compile(r"#\s*det:\s*reviewed\b")
-
-#: Trailing ``frame: observed`` or converter ``frame: observed -> original``.
-_FRAME_PRAGMA_RE = re.compile(
-    r"#\s*frame:\s*(?P<src>[A-Za-z_]\w*)(?:\s*->\s*(?P<dst>[A-Za-z_]\w*))?"
 )
 
 #: Directory names pruned from discovery.  ``fixtures`` holds test
@@ -84,16 +67,6 @@ class Violation:
             "message": self.message,
         }
 
-    @staticmethod
-    def from_dict(data: Dict[str, object]) -> "Violation":
-        return Violation(
-            path=str(data["path"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            col=int(data["col"]),  # type: ignore[arg-type]
-            rule=str(data["rule"]),
-            message=str(data["message"]),
-        )
-
 
 @dataclass(frozen=True)
 class NoqaMark:
@@ -114,13 +87,6 @@ class NoqaMark:
             return True
         return self.blanket and rule_id != "SUPP001"
 
-    def to_dict(self) -> Dict[str, object]:
-        return {"blanket": self.blanket, "ids": sorted(self.ids)}
-
-    @staticmethod
-    def from_dict(data: Dict[str, object]) -> "NoqaMark":
-        return NoqaMark(bool(data["blanket"]), frozenset(data["ids"]))  # type: ignore[arg-type]
-
 
 class ModuleInfo:
     """One parsed source file, as rules see it."""
@@ -138,27 +104,6 @@ class ModuleInfo:
         self.module = _module_name(path)
         #: line -> suppression state for that line.
         self.noqa: Dict[int, NoqaMark] = _parse_noqa(self.lines)
-        #: lines carrying a trailing ``det: reviewed`` pragma.
-        self.det_reviewed_lines: Set[int] = {
-            i for i, line in enumerate(self.lines, start=1) if _DET_REVIEWED_RE.search(line)
-        }
-        #: line -> (consumed frame, produced frame) from a trailing
-        #: ``frame:`` pragma (both equal unless the ``->`` form is used).
-        self.frame_pragmas: Dict[int, Tuple[str, str]] = {}
-        #: whole-module frame declared by a full-line ``# frame: X``
-        #: comment (``any`` marks frame-polymorphic modules).
-        self.module_frame: Optional[str] = None
-        for i, line in enumerate(self.lines, start=1):
-            m = _FRAME_PRAGMA_RE.search(line)
-            if not m:
-                continue
-            src = m.group("src")
-            dst = m.group("dst") or src
-            if line.strip().startswith("#"):
-                if self.module_frame is None:
-                    self.module_frame = src
-            else:
-                self.frame_pragmas[i] = (src, dst)
         #: alias -> fully qualified module/name, e.g. ``np`` ->
         #: ``numpy``, ``default_rng`` -> ``numpy.random.default_rng``.
         self.import_aliases: Dict[str, str] = _collect_aliases(self.tree)
@@ -241,6 +186,9 @@ def _collect_aliases(tree: ast.Module) -> Dict[str, str]:
 #: rule_id -> rule instance, in registration order.
 ALL_RULES: Dict[str, "Rule"] = {}
 
+#: Synthetic rule for files the parser rejects.
+PARSE_RULE = "PARSE001"
+
 
 class Rule:
     """Base class: subclass, set ``rule_id``/``summary``, implement
@@ -285,16 +233,16 @@ def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
                     yield sub
 
 
-def run_module_rules(
-    module: ModuleInfo, active: Sequence[Rule]
-) -> List[Violation]:
-    """All unsuppressed module-scope rule hits for one parsed file."""
-    violations: List[Violation] = []
-    for rule in active:
-        for v in rule.check(module):
-            if not module.suppressed(v):
-                violations.append(v)
-    return violations
+def unknown_rule_ids(rule_ids: Iterable[str]) -> List[str]:
+    """The IDs in ``rule_ids`` that name no rule, sorted."""
+    return sorted(set(rule_ids) - set(ALL_RULES) - {PARSE_RULE})
+
+
+def _display(path: Path, root: Path) -> str:
+    try:
+        return path.resolve().relative_to(root.resolve()).as_posix()
+    except ValueError:
+        return path.as_posix()
 
 
 def lint_paths(
@@ -302,20 +250,49 @@ def lint_paths(
     rule_ids: Optional[Sequence[str]] = None,
     root: Optional[Path] = None,
 ) -> List[Violation]:
-    """Lint every ``*.py`` under ``paths`` — module-scope rules *and*
-    the interprocedural passes — serially and without a cache.
+    """Lint every ``*.py`` under ``paths`` with the rule catalogue.
 
-    Thin wrapper over :func:`repro.analysis.runner.check_project`, kept
-    for callers that predate the whole-program framework.  ``rule_ids``
-    restricts the run to a subset of the combined catalogue; ``root``
-    controls how paths are displayed (defaults to the cwd).
+    ``rule_ids`` restricts the run to a subset (an unknown ID raises
+    ``ValueError``); ``root`` controls how paths are displayed
+    (defaults to the cwd).  A file reached twice is linted once.
     Unparseable files surface as ``PARSE001`` violations rather than
     crashing the run.  Returns violations sorted by location, with
     noqa suppressions already applied.
     """
-    from repro.analysis.runner import check_project
-
-    return check_project(paths, rule_ids=rule_ids, root=root).violations
+    root = Path(root) if root is not None else Path.cwd()
+    unknown = unknown_rule_ids(rule_ids or ())
+    if unknown:
+        raise ValueError(f"unknown rule id(s): {', '.join(unknown)}")
+    active = [
+        rule for rule_id, rule in ALL_RULES.items()
+        if rule_ids is None or rule_id in rule_ids
+    ]
+    violations: List[Violation] = []
+    seen: Set[Path] = set()
+    for path in iter_python_files(paths):
+        resolved = path.resolve()
+        if resolved in seen:
+            continue
+        seen.add(resolved)
+        display = _display(path, root)
+        try:
+            module = ModuleInfo(
+                path, path.read_bytes().decode("utf-8", errors="replace"), display
+            )
+        except SyntaxError as exc:
+            violations.append(
+                Violation(
+                    path=display,
+                    line=exc.lineno or 1,
+                    col=(exc.offset or 0) + 1,
+                    rule=PARSE_RULE,
+                    message=f"file does not parse: {exc.msg}",
+                )
+            )
+            continue
+        for rule in active:
+            violations.extend(v for v in rule.check(module) if not module.suppressed(v))
+    return sorted(violations)
 
 
 # ----------------------------------------------------------------------

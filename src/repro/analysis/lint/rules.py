@@ -513,7 +513,7 @@ class BareNoqaRule(Rule):
 
     A noqa with no rule list silences every current *and future* rule
     on its line, so a genuine new finding there would never surface.
-    Name the rules being waived — ``noqa: DET001,FRAME101`` or the
+    Name the rules being waived — ``noqa: DET001,MUT001`` or the
     historical ``repro: noqa[DET001]`` — so each suppression stays an
     auditable, single-purpose decision.  A bare noqa still blanket-
     suppresses (changing that silently would un-suppress legacy lines)
@@ -533,7 +533,7 @@ class BareNoqaRule(Rule):
                     rule=self.rule_id,
                     message=(
                         "bare noqa suppresses every current and future rule on this line; "
-                        "list the rule IDs instead (e.g. noqa: DET001,FRAME101)"
+                        "list the rule IDs instead (e.g. noqa: DET001,MUT001)"
                     ),
                 )
 

@@ -9,9 +9,9 @@ downwards, matching the paper's Fig. 5.
 
 from __future__ import annotations
 
-# frame: any — boxes here are frame-polymorphic: every operation is
-# valid in whichever coordinate frame the caller works in, provided all
-# operands share it (the FRAME1xx checks enforce that at call sites).
+# Boxes here are frame-polymorphic: every operation is valid in
+# whichever coordinate frame the caller works in, provided all operands
+# share it.
 
 import math
 from dataclasses import dataclass

@@ -24,8 +24,8 @@ mask against the next column's whitespace.
 
 from __future__ import annotations
 
-# frame: any — cut finding runs on the occupancy grid of whichever
-# frame the caller discretised; no frame mixing happens here.
+# Cut finding runs on the occupancy grid of whichever coordinate frame
+# the caller discretised; no frame mixing happens here.
 
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple

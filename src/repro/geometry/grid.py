@@ -10,7 +10,7 @@ the resolution/speed knob and is exposed on every public entry point.
 
 from __future__ import annotations
 
-# frame: any — the grid discretises whichever frame the input boxes
+# The grid discretises whichever coordinate frame the input boxes
 # share; it never mixes frames itself.
 
 from typing import Iterable, List, Sequence, Tuple

@@ -54,7 +54,7 @@ This module lives in ``repro.geometry`` (the base layer, so
 
 from __future__ import annotations
 
-# frame: any — profiles operate on whichever frame the occupancy grid
+# Profiles operate on whichever coordinate frame the occupancy grid
 # discretised; no frame mixing happens here.
 
 from functools import lru_cache

@@ -10,8 +10,8 @@ the layer that makes a whole *run* observable:
   registries fold into the parent's and a serial run's normalized dump
   is byte-identical to a ``--workers N`` run's;
 * :mod:`repro.obs.names` — the closed metric vocabulary
-  (:data:`~repro.obs.names.METRIC_NAMES`), statically enforced by lint
-  rule ``OBS002``;
+  (:data:`~repro.obs.names.METRIC_NAMES`), matched both ways against
+  the emitting call sites by a tier-1 test;
 * :mod:`repro.obs.export` — Prometheus text exposition and JSONL
   exporters (plus the round-trip parser that validates them);
 * :mod:`repro.obs.resources` — RSS / CPU / tracemalloc high-water

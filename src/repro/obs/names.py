@@ -3,10 +3,11 @@
 Mirrors the trace-event schema (:data:`repro.trace.tracer.EVENT_NAMES`)
 for the metrics layer: downstream consumers — the Prometheus
 exposition, the tests' metric asserts, dashboards built on the JSONL
-dump — key on these strings, so the set is closed.  ``repro check``
-verifies statically that every ``registry.counter("…")`` /
-``.gauge("…")`` / ``.histogram("…")`` call site in a ``repro.*``
-module uses a declared name (rule ``OBS002``); at runtime a strict
+dump — key on these strings, so the set is closed.  A tier-1 test
+(``tests/test_analysis_lint.py``) scans ``src/repro`` for literal
+``.counter("…")`` / ``.gauge("…")`` / ``.histogram("…")`` names and
+checks them both ways against this table: every emitted name is
+declared, and every declared name is emitted.  At runtime a strict
 :class:`~repro.obs.registry.MetricRegistry` rejects undeclared names
 with a :class:`KeyError`.  Register new metrics here first.
 
@@ -19,10 +20,6 @@ worker-scheduling counts are *environment* metrics
 (``deterministic=False``); :meth:`MetricRegistry.normalized_dump`
 excludes them, which is what makes the serial-vs-parallel registry
 byte-identity testable.
-
-The ``METRIC_NAMES`` assignment below must stay a **dict literal with
-string-literal keys** — the static-analysis index reads the keys
-syntactically, exactly as it reads ``EVENT_NAMES``.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ def _decl(kind: str, labels: Tuple[str, ...] = (), deterministic: bool = True, h
     return MetricDecl(kind=kind, labels=labels, deterministic=deterministic, help=help)
 
 
-#: name -> declaration.  Keys are the closed metric vocabulary (OBS002).
+#: name -> declaration.  Keys are the closed metric vocabulary.
 METRIC_NAMES: Dict[str, MetricDecl] = {
     # -- corpus execution ------------------------------------------------
     "repro.docs.processed": _decl(
@@ -186,11 +183,11 @@ NORMALIZED_DROPPED_LABELS = frozenset({"worker"})
 
 def declared(name: str) -> MetricDecl:
     """The declaration for ``name``; raises ``KeyError`` when the name
-    was never registered (the runtime half of OBS002)."""
+    was never registered."""
     try:
         return METRIC_NAMES[name]
     except KeyError:
         raise KeyError(
             f"metric {name!r} is not declared in repro.obs.names.METRIC_NAMES; "
-            "register it there first (lint rule OBS002)"
+            "register it there first"
         ) from None

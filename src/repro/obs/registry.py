@@ -12,9 +12,10 @@ of **named, labeled** series::
     reg.histogram("repro.stage.latency", stage="segment").observe(0.021)
 
 Names are a closed vocabulary (:mod:`repro.obs.names`): a strict
-registry rejects undeclared names at runtime and lint rule ``OBS002``
-rejects them statically.  Labels are free-form string pairs; series
-are keyed by the sorted label set, so emission order never matters.
+registry rejects undeclared names at runtime, and a tier-1 test
+matches every literal emission against the declarations.  Labels are
+free-form string pairs; series are keyed by the sorted label set, so
+emission order never matters.
 
 **Merge semantics** follow the declaration kind — counters add, gauges
 take the maximum (the high-water convention that makes RSS/CPU

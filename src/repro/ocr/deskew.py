@@ -92,7 +92,7 @@ def deskew(doc: Document) -> Tuple[Document, float]:
     return corrected, angle
 
 
-def _tight_unrotate(box: BBox, angle: float, cx: float, cy: float) -> BBox:  # frame: original -> observed
+def _tight_unrotate(box: BBox, angle: float, cx: float, cy: float) -> BBox:
     """Upright box of the content whose *rotated enclosure* is ``box``.
 
     A box observed on a page tilted by ``angle`` is the axis-aligned
@@ -116,10 +116,10 @@ def _tight_unrotate(box: BBox, angle: float, cx: float, cy: float) -> BBox:  # f
     return BBox(qx - w / 2.0, qy - h / 2.0, w, h)
 
 
-def rotate_back(box: BBox, angle: float, doc: Document) -> BBox:  # frame: observed -> original
+def rotate_back(box: BBox, angle: float, doc: Document) -> BBox:
     """Map a box from the corrected frame to the original frame."""
     if angle == 0.0:
         # Zero angle: the two frames coincide and the observed box *is*
         # the original one, so returning it unconverted is sound.
-        return box  # noqa: FRAME102
+        return box
     return box.rotate(angle, doc.width / 2.0, doc.height / 2.0)

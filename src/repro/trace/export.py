@@ -212,7 +212,8 @@ def validate_chrome_trace(
     that at least one complete (``X``) span event exists.  With
     ``strict_names=True``, every decision (instant) event must also use
     a name registered in :data:`repro.trace.tracer.EVENT_NAMES` — the
-    runtime complement of the static ``SCHEMA001`` check.
+    runtime complement of the test that matches every literal
+    ``.event(...)`` name against the registry.
     """
     data = json.loads(pathlib.Path(path).read_text())
     if not isinstance(data, dict) or not isinstance(data.get("traceEvents"), list):

@@ -37,10 +37,11 @@ SPAN_SCHEMA_VERSION = 1
 
 #: The trace-event schema: every decision-event name the pipeline may
 #: emit.  Downstream consumers (the explain report, trace diffing) key
-#: on these strings, so the set is closed — ``repro check`` verifies
-#: statically that every ``tracer.event("…")`` call site uses a
-#: registered name (SCHEMA001) and that no registered name has lost
-#: its emitter (SCHEMA002).  Register new events here first.
+#: on these strings, so the set is closed.  A tier-1 test
+#: (``tests/test_analysis_lint.py``) scans ``src/repro`` for literal
+#: ``.event("…")`` names and checks that each is registered here and
+#: that every registered name still has an emitter.  Register new
+#: events here first.
 EVENT_NAMES = frozenset(
     {
         "cut.decision",

@@ -1,14 +1,22 @@
-"""The ``repro check`` lint engine and its rule catalogue.
+"""The ``repro check`` lint engine, its rule catalogue, and the two
+whole-tree checks that run the program instead of analysing it.
 
 Fixture-driven: every rule is exercised three ways — a positive hit, a
 clean counterpart, and the hit suppressed with ``# repro: noqa[RULE]``.
 The suppression case is generated from the positive one (append the
 noqa comment to the reported line), so the noqa machinery is proven
 against the exact line each rule reports.
+
+``TestNameRegistries`` and ``TestImportsResolve`` check what no single
+file shows: that the trace-event and metric registries match their
+emitters both ways, and that every ``from repro.X import N`` resolves.
 """
 
 from __future__ import annotations
 
+import ast
+import functools
+import importlib
 from pathlib import Path
 
 import pytest
@@ -201,7 +209,7 @@ class TestSuppression:
         assert [v.rule for v in run_lint(tmp_path, source, "mod.py")] == ["DET001"]
 
     def test_conventional_colon_list_form(self, tmp_path):
-        source = "import random\nvalue = random.random()  # noqa: DET001,FRAME101\n"
+        source = "import random\nvalue = random.random()  # noqa: DET001,MUT001\n"
         assert run_lint(tmp_path, source, "mod.py") == []
 
     def test_colon_form_for_other_rule_does_not_suppress(self, tmp_path):
@@ -239,6 +247,15 @@ class TestEngine:
     def test_unparseable_file_reports_parse001(self, tmp_path):
         violations = run_lint(tmp_path, "def broken(:\n", "mod.py")
         assert [v.rule for v in violations] == ["PARSE001"]
+
+    def test_findings_across_files_in_location_order(self, tmp_path):
+        (tmp_path / "dirty_a.py").write_text("import random\nV = random.random()\n")
+        (tmp_path / "dirty_b.py").write_text("def f(xs=[]):\n    return xs\n")
+        (tmp_path / "clean.py").write_text("def f(x):\n    return x + 1\n")
+        violations = lint_paths([tmp_path, tmp_path / "dirty_a.py"], root=tmp_path)
+        assert [(v.path, v.rule) for v in violations] == [
+            ("dirty_a.py", "DET001"), ("dirty_b.py", "MUT001"),
+        ]
 
     def test_violations_sorted_by_location(self, tmp_path):
         source = (
@@ -299,6 +316,54 @@ class TestCli:
         assert repro_main(["check", "--list-rules"]) == 0
         out = capsys.readouterr().out
         assert "DET001" in out and "LAYER003" in out
+        assert len(out.splitlines()) == len(ALL_RULES) == 14
+
+    def test_rules_takes_one_comma_separated_value(self, tmp_path, capsys):
+        """Paths after ``--rules`` stay paths: ``--rules DET001 DIR``."""
+        (tmp_path / "bad.py").write_text(
+            "import random\n\ndef f(xs=[]):\n    return random.random()\n"
+        )
+        assert repro_main(["check", "--rules", "MUT001", str(tmp_path)]) == 1
+        assert "MUT001" in capsys.readouterr().out
+        assert repro_main(["check", "--rules", "DET001,MUT001", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "DET001" in out and "MUT001" in out
+        assert repro_main(["check", "--rules", "EXC001", str(tmp_path)]) == 0
+
+    def test_unknown_rule_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            repro_main(["check", "--rules", "DET001,NOPE999", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "NOPE999" in err and "Traceback" not in err
+
+    def test_missing_path_is_an_error_not_a_clean_run(self, tmp_path, capsys):
+        (tmp_path / "ok.py").write_text("x = 1\n")
+        missing = tmp_path / "no_such_dir"
+        assert repro_main(["check", str(tmp_path), str(missing)]) == 2
+        out, err = capsys.readouterr()
+        assert "clean" not in out and str(missing) in err
+
+    def test_explain_module_rule(self, capsys):
+        assert repro_main(["check", "--explain", "MUT001"]) == 0
+        out = capsys.readouterr().out
+        assert "mutable default" in out.lower()
+
+    def test_explain_unknown_rule(self, capsys):
+        assert repro_main(["check", "--explain", "NOPE999"]) == 2
+        assert "unknown rule" in capsys.readouterr().err
+
+    def test_explain_covers_every_registered_rule(self, capsys):
+        """Exhaustiveness gate: every rule the engine can emit — the
+        catalogue and the parse sentinel — must explain itself with a
+        worked example and a fix."""
+        from repro.analysis.lint.engine import PARSE_RULE
+
+        for rule_id in sorted(set(ALL_RULES) | {PARSE_RULE}):
+            assert repro_main(["check", "--explain", rule_id]) == 0, rule_id
+            out = capsys.readouterr().out
+            assert "Example:" in out, f"{rule_id} has no example"
+            assert "Fix:" in out, f"{rule_id} has no fix"
 
 
 class TestSelfLint:
@@ -309,3 +374,87 @@ class TestSelfLint:
             [REPO_ROOT / "src", REPO_ROOT / "tests"], root=REPO_ROOT
         )
         assert violations == [], format_human(violations)
+
+
+@functools.lru_cache(maxsize=None)
+def _parsed(top: str):
+    """``(path, AST)`` of every Python file under ``top``, fixtures aside."""
+    return [
+        (path, ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted((REPO_ROOT / top).rglob("*.py"))
+        if "fixtures" not in path.relative_to(REPO_ROOT).parts
+    ]
+
+
+def _literal_names(methods) -> dict:
+    """name -> first ``path:line`` of a ``<x>.<method>("name", ...)``
+    call in ``src/repro``, for ``method`` in ``methods``."""
+    found: dict = {}
+    for path, tree in _parsed("src/repro"):
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in methods
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+            ):
+                where = f"{path.relative_to(REPO_ROOT)}:{node.lineno}"
+                found.setdefault(node.args[0].value, where)
+    return found
+
+
+class TestNameRegistries:
+    """The trace-event and metric vocabularies are closed: consumers key
+    on the strings.  Every literal name the program emits must be
+    registered, and every registered name must still have an emitter."""
+
+    def test_event_names_match_their_emitters(self):
+        from repro.trace.tracer import EVENT_NAMES
+
+        emitted = _literal_names({"event"})
+        unregistered = {n: w for n, w in emitted.items() if n not in EVENT_NAMES}
+        assert unregistered == {}, "emitted but not in EVENT_NAMES"
+        assert sorted(set(EVENT_NAMES) - set(emitted)) == [], "registered but never emitted"
+
+    def test_metric_names_match_their_emitters(self):
+        from repro.obs.names import METRIC_NAMES
+
+        emitted = _literal_names({"counter", "gauge", "histogram"})
+        undeclared = {n: w for n, w in emitted.items() if n not in METRIC_NAMES}
+        assert undeclared == {}, "emitted but not in METRIC_NAMES"
+        assert sorted(set(METRIC_NAMES) - set(emitted)) == [], "declared but never emitted"
+
+
+class TestImportsResolve:
+    def test_every_from_repro_import_resolves(self):
+        """``from repro.X import N`` anywhere in ``src/repro``, ``tests``
+        or ``tools`` — function bodies included, where a broken import
+        only fails on the path that reaches it — names an attribute or
+        a submodule of the imported ``repro.X``."""
+        unresolved = []
+        files = _parsed("src/repro") + _parsed("tests") + _parsed("tools")
+        for path, tree in files:
+            for node in ast.walk(tree):
+                if not (
+                    isinstance(node, ast.ImportFrom)
+                    and node.level == 0
+                    and node.module
+                    and node.module.split(".")[0] == "repro"
+                ):
+                    continue
+                where = f"{path.relative_to(REPO_ROOT)}:{node.lineno}"
+                try:
+                    module = importlib.import_module(node.module)
+                except ModuleNotFoundError:
+                    unresolved.append(f"{where}: no module {node.module}")
+                    continue
+                for alias in node.names:
+                    if alias.name == "*" or hasattr(module, alias.name):
+                        continue
+                    try:
+                        importlib.import_module(f"{node.module}.{alias.name}")
+                    except ModuleNotFoundError:
+                        unresolved.append(f"{where}: {node.module} has no {alias.name}")
+        assert unresolved == []

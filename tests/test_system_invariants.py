@@ -1,10 +1,14 @@
 """System-level invariants of the pipeline, checked over real corpora
 and randomised documents (hypothesis)."""
 
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import VS2Pipeline, VS2Segmenter
+from repro.core.textview import TextView
 from repro.doc import Document, TextElement
 from repro.geometry import BBox
 
@@ -86,3 +90,88 @@ class TestPipelineInvariants:
         doc = Document("empty", 400, 400)
         result = VS2Pipeline("D2").run(doc)
         assert result.extractions == []
+
+
+def _segment_and_select(pipeline, observed):
+    """Blocks and extractions of one observed (OCR'd, deskewed) view,
+    the two stages ``VS2Pipeline.run`` applies to it."""
+    view = TextView(pipeline.embedding)
+    blocks = pipeline.segmenter.segment(observed, view=view).logical_blocks()
+    return blocks, pipeline.selector.extract(observed, blocks, view=view)
+
+
+def _outcome(blocks, extractions, dx=0.0, dy=0.0):
+    """What the layout decides, with every box shifted by ``(-dx, -dy)``.
+
+    Blocks are a set of page regions, compared sorted by position: the
+    order ``logical_blocks`` lists them in follows the order of the
+    input elements."""
+    return (
+        sorted((b.bbox.translate(-dx, -dy).as_tuple(), len(b.atoms)) for b in blocks),
+        [
+            (e.entity_type, e.text, e.bbox.translate(-dx, -dy).as_tuple(), e.score)
+            for e in extractions
+        ],
+    )
+
+
+def _assert_same_outcome(got, want, tol=0.0):
+    (got_blocks, got_ext), (want_blocks, want_ext) = got, want
+    assert [n for _, n in got_blocks] == [n for _, n in want_blocks]
+    for (g, _), (w, _) in zip(got_blocks, want_blocks):
+        assert g == pytest.approx(w, abs=tol)
+    assert [(t, x, s) for t, x, _, s in got_ext] == [(t, x, s) for t, x, _, s in want_ext]
+    for (_, _, g, _), (_, _, w, _) in zip(got_ext, want_ext):
+        assert g == pytest.approx(w, abs=tol)
+
+
+@pytest.fixture(scope="module")
+def observed_views(d1_cleaned, d2_cleaned, d3_cleaned):
+    """(dataset, observed view) for every conftest document: 22 in all."""
+    return [
+        (dataset, observed)
+        for dataset, cleaned in (("D1", d1_cleaned), ("D2", d2_cleaned), ("D3", d3_cleaned))
+        for _, observed, _ in cleaned
+    ]
+
+
+class TestMetamorphic:
+    """VS2 decides from the layout: Algorithm 1's whitespace cuts, the
+    Table 1 features, Eq. 1 merging and Eq. 2 disambiguation.  Neither
+    the order the elements are listed in nor where the page origin sits
+    is part of the layout, so changing either must not change a
+    decision."""
+
+    def test_element_order_changes_nothing(self, observed_views):
+        pipelines = {}
+        for dataset, observed in observed_views:
+            pipeline = pipelines.setdefault(dataset, VS2Pipeline(dataset))
+            shuffled = list(observed.elements)
+            random.Random(0).shuffle(shuffled)
+            assert shuffled != observed.elements
+            want = _outcome(*_segment_and_select(pipeline, observed))
+            got = _outcome(
+                *_segment_and_select(pipeline, dataclasses.replace(observed, elements=shuffled))
+            )
+            assert got == want, observed.doc_id
+
+    def test_whole_cell_translation_shifts_boxes_only(self, observed_views):
+        # Whole cells of the default 4-unit grid, so the occupancy grid
+        # (and every cut on it) moves by exactly (2, 3) cells.
+        dx, dy = 8.0, 12.0
+        pipelines = {}
+        for dataset, observed in observed_views:
+            pipeline = pipelines.setdefault(dataset, VS2Pipeline(dataset))
+            assert pipeline.config.segment.cell == 4.0
+            moved = dataclasses.replace(
+                observed,
+                width=observed.width + dx,
+                height=observed.height + dy,
+                elements=[
+                    dataclasses.replace(e, bbox=e.bbox.translate(dx, dy))
+                    for e in observed.elements
+                ],
+            )
+            want = _outcome(*_segment_and_select(pipeline, observed))
+            got = _outcome(*_segment_and_select(pipeline, moved), dx=dx, dy=dy)
+            _assert_same_outcome(got, want, tol=1e-6)
