@@ -6,7 +6,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test lint contracts bench-smoke perfbench-selftest tables trace-smoke chaos-smoke serve-smoke docs-check
 
-test: lint       ## the tier-1 suite (~600 unit/integration tests) + contract pass
+test: lint       ## the tier-1 suite (~950 unit/integration tests) + contract pass
 	$(PY) -m pytest -x -q
 	REPRO_CONTRACTS=1 $(PY) -m pytest -x -q -m contracts
 

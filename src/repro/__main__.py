@@ -213,7 +213,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_limit=args.queue_limit,
         deadline_s=args.deadline,
         batch_max=args.batch_max,
-        batch_window_s=args.batch_window,
         max_attempts=args.max_attempts,
         breaker=BreakerConfig(),
         checkpoint_path=args.checkpoint,
@@ -444,8 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default per-request deadline in seconds (504 on expiry)")
     p.add_argument("--batch-max", type=int, default=4,
                    help="max requests coalesced into one pipeline dispatch")
-    p.add_argument("--batch-window", type=float, default=0.05,
-                   help="seconds the dispatcher waits for a micro-batch to fill")
     p.add_argument("--max-attempts", type=int, default=2,
                    help="attempts per request across batch retries")
     p.add_argument("--faults", metavar="SPEC_OR_JSON", default=None,

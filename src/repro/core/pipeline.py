@@ -188,6 +188,11 @@ class VS2Pipeline:
             tracer=self.tracer,
         )
 
+    def trace_into(self, tracer: Tracer) -> None:
+        """Send this pipeline's spans and decision events to ``tracer``
+        from now on (the segmenter's and selector's included)."""
+        self.tracer = self.segmenter.tracer = self.selector.tracer = tracer
+
     def run(self, doc: Document) -> PipelineResult:
         """Extract every named entity of the dataset's vocabulary from
         one document.  ``doc`` ground truth is never consulted.

@@ -287,19 +287,18 @@ class StageTimer:
         self._start = 0.0
         self._cpu_start = 0.0
 
+    # The CPU reads sit outside the wall window: ``getrusage`` is a
+    # system call the scheduler may preempt, and a preemption inside
+    # the window would charge the CPU wait to the stage's wall time.
     def __enter__(self) -> "StageTimer":
-        self._start = time.perf_counter()
         self._cpu_start = _cpu_now()
+        self._start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        seconds = time.perf_counter() - self._start
         cpu = max(_cpu_now() - self._cpu_start, 0.0)
-        self._metrics.record(
-            self.name,
-            time.perf_counter() - self._start,
-            items=self.items,
-            cpu_seconds=cpu,
-        )
+        self._metrics.record(self.name, seconds, items=self.items, cpu_seconds=cpu)
 
 
 @dataclass

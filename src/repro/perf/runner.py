@@ -3,12 +3,13 @@
 :class:`CorpusRunner` runs the full VS2 pipeline over a corpus.  Every
 run is one loop over ``(doc index, attempt)`` tasks:
 
-* **in-process or pooled** — ``workers <= 1`` (or a call with at most
-  one task) runs the tasks in-process; otherwise they are dispatched in
-  contiguous chunks (default ``ceil(n / (workers * 4))`` documents per
-  task) to a :class:`WarmProcessPool` — the caller's, or a private one
-  booted for the call — so scheduling overhead amortises while
-  stragglers still rebalance;
+* **in-process or pooled** — a runner given a booted
+  :class:`WarmProcessPool` sends every task to it, a lone document
+  included; without one, ``workers <= 1`` (or a call with at most one
+  task) runs the tasks in-process, and otherwise a private pool is
+  booted for the call.  Tasks go out in contiguous chunks (default
+  ``ceil(n / (workers * 4))`` documents per task), so scheduling
+  overhead amortises while stragglers still rebalance;
 * **deterministic ordering** — results come back aligned with the
   input order regardless of which worker finished first, so a parallel
   run is byte-identical to a serial one (the pipeline itself is fully
@@ -199,6 +200,17 @@ def _default_factory(
     )
 
 
+def _from_factory(factory: PipelineFactory, tracer) -> "VS2Pipeline":
+    """``factory()``, tracing into ``tracer`` when it is on.  A factory
+    takes no arguments, so the tracer of the process that runs the
+    pipeline (a pool worker's, or the runner's) is bound here, and the
+    pipeline's spans and decision events nest under its ``doc`` span."""
+    pipeline = factory()
+    if tracer.enabled:
+        pipeline.trace_into(tracer)
+    return pipeline
+
+
 def _run_one(
     pipeline: "VS2Pipeline",
     index: int,
@@ -288,7 +300,9 @@ def _worker_main(
             _faults.install(plan, tracer=tracer, preemptible=True)
         _faults.fault_site("worker.boot", doc_id=f"worker:{wid}", attempt=1)
         pipeline = (
-            factory() if factory is not None else _default_factory(dataset, config, tracer=tracer)
+            _from_factory(factory, tracer)
+            if factory is not None
+            else _default_factory(dataset, config, tracer=tracer)
         )
         pipeline.metrics.drain()
     except Exception as exc:
@@ -590,7 +604,8 @@ class CorpusRunner:
         registry is created when not given.
     pool:
         A booted :class:`WarmProcessPool` to run on instead of booting
-        (and tearing down) a private one per call.  The pool's worker
+        (and tearing down) a private one per call.  Every call runs on
+        it, a one-document call included.  The pool's worker
         count governs ``workers``; its boot arguments govern the
         worker-side pipelines, so build the runner consistently with
         them.  The runner never closes a shared pool — its owner does.
@@ -634,7 +649,7 @@ class CorpusRunner:
             from repro.core.pipeline import VS2Pipeline
 
             if self.pipeline_factory is not None:
-                self._serial_pipeline = self.pipeline_factory()
+                self._serial_pipeline = _from_factory(self.pipeline_factory, self.tracer)
             else:
                 self._serial_pipeline = VS2Pipeline(
                     self.dataset,
@@ -675,7 +690,9 @@ class _Run:
             "corpus", dataset=self.runner.dataset, docs=len(self.docs)
         ):
             t.items = len(self.docs)
-            if self.runner.workers > 1 and len(tasks) > 1:
+            # A borrowed pool is warm, so it takes even a lone document;
+            # a private pool is booted only for two or more.
+            if self.runner.pool is not None or (self.runner.workers > 1 and len(tasks) > 1):
                 self._on_pool(tasks)
             elif tasks:
                 self._in_process(tasks)

@@ -6,8 +6,8 @@ machinery.  One :class:`~repro.serve.service.ExtractionService` owns a
 warm :class:`~repro.perf.runner.WarmProcessPool` (pipeline, embedding
 tables, pattern library and holdout corpus booted once), a bounded
 admission queue with 429 load-shedding, per-request deadlines (504,
-never a hung slot), micro-batching into
-:class:`~repro.perf.runner.CorpusRunner` dispatches, per-stage circuit
+never a hung slot), dispatch on arrival into
+:class:`~repro.perf.runner.CorpusRunner` calls, per-stage circuit
 breakers that trip to the degradation ladder, and graceful SIGTERM
 drain.  :mod:`repro.serve.http` is the stdlib-asyncio HTTP front-end
 (``/health``, ``/ready``, ``/extract``, ``/metrics``);

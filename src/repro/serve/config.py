@@ -56,11 +56,10 @@ class ServeConfig:
     deadline_s: float = 30.0
     #: Seconds a caller shed with 429 should wait before retrying.
     retry_after_s: float = 1.0
-    #: Micro-batching: at most ``batch_max`` queued requests coalesce
-    #: into one pipeline dispatch; the HTTP dispatcher waits up to
-    #: ``batch_window_s`` for the batch to fill.
+    #: Micro-batching: the dispatcher takes a request on arrival, and a
+    #: batch is whatever queued while the previous one ran, at most
+    #: ``batch_max`` requests per pipeline dispatch.
     batch_max: int = 4
-    batch_window_s: float = 0.05
     #: Attempts per request across batch retries (transient per-doc
     #: failures and whole-batch faults re-enqueue until exhausted).
     max_attempts: int = 2

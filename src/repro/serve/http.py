@@ -27,11 +27,13 @@ Endpoints
     Prometheus text exposition of the server's metric registry.
 
 Concurrency model: admission, queue and resolution bookkeeping run on
-the event loop only; the single dispatcher task runs each blocking
-batch in the default thread-pool executor (the metric registry is the
-one structure both threads touch, and it locks internally).  The
-process pool is booted before the loop starts; only a replacement for
-a dead worker forks later, from the dispatcher's executor thread (see
+the event loop only; the single dispatcher task takes queued requests
+as soon as they arrive (a batch is whatever queued while the previous
+batch ran, up to ``batch_max``) and runs each blocking batch in the
+default thread-pool executor (the metric registry is the one structure
+both threads touch, and it locks internally).  The process pool is
+booted before the loop starts; only a replacement for a dead worker
+forks later, from the dispatcher's executor thread (see
 :class:`~repro.perf.runner.WarmProcessPool` for why that is safe).
 
 Graceful drain: SIGTERM/SIGINT flips the service into draining (new
@@ -151,18 +153,19 @@ class ServeHTTP:
     # Dispatcher
     # ------------------------------------------------------------------
     async def _dispatch_loop(self) -> None:
+        """Take queued requests on arrival: a batch is whatever queued
+        while the previous batch ran, up to ``batch_max``.  With the
+        queue empty the loop sleeps until admission or a drain request
+        sets the wake event."""
+        assert self._wake is not None
         loop = asyncio.get_running_loop()
-        window = self.service.config.batch_window_s
         while True:
             if self.service.pending() == 0:
                 if self.service.draining:
                     return
-                await self._wait_for_work(window)
+                await self._wake.wait()
+                self._wake.clear()
                 continue
-            if self.service.pending() < self.service.config.batch_max:
-                # Let the micro-batch fill for one window before
-                # dispatching a partial one.
-                await asyncio.sleep(window)
             batch, expired = self.service.take_batch(time.monotonic())
             self._publish(expired)
             if not batch:
@@ -170,14 +173,6 @@ class ServeHTTP:
             outcome = await loop.run_in_executor(None, self.service.run_batch, batch)
             responses = self.service.resolve(batch, outcome, time.monotonic())
             self._publish(responses)
-
-    async def _wait_for_work(self, window: float) -> None:
-        assert self._wake is not None
-        try:
-            await asyncio.wait_for(self._wake.wait(), timeout=max(window, 0.01))
-        except asyncio.TimeoutError:
-            return
-        self._wake.clear()
 
     def _publish(self, responses: List[ServeResponse]) -> None:
         for response in responses:

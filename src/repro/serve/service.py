@@ -23,12 +23,15 @@ as exactly one of these, nothing lost, nothing hung)::
              Retry-After          and deadline
                                   allow)
 
-The heavy lifting of a batch is one
-:class:`repro.perf.runner.CorpusRunner` call — parallel batches run on
-the shared :class:`~repro.perf.runner.WarmProcessPool` whose workers
-booted the pipeline (embeddings, pattern tables, holdout mining) once
-at server start.  While a stage's circuit breaker is open, batches run
-serially through a cached degraded pipeline variant instead
+A batch is whatever queued while the previous batch ran (at most
+``batch_max`` requests; the HTTP dispatcher takes one on arrival), and
+the heavy lifting of a batch is one
+:class:`repro.perf.runner.CorpusRunner` call.  With ``workers > 1``
+every batch, a lone request included, runs on the shared
+:class:`~repro.perf.runner.WarmProcessPool` whose workers booted the
+pipeline (embeddings, pattern tables, holdout mining) once at server
+start.  While a stage's circuit breaker is open, batches run serially
+through a cached degraded pipeline variant instead
 (``docs/SERVING.md`` walks through the ladder).
 """
 

@@ -393,6 +393,31 @@ class TestWarmProcessPool:
         # metrics drain per chunk: the second run is not double-counted
         assert first.metrics["select"].calls == second.metrics["select"].calls
 
+    def test_lone_document_runs_on_a_borrowed_pool(self, corpus, monkeypatch):
+        """A runner given a warm pool sends a one-document call to a
+        worker too, instead of building a second pipeline in-process."""
+        from repro.perf import WarmProcessPool
+
+        serial = CorpusRunner("D2").run(corpus[:1])
+
+        def no_serial(self):
+            raise AssertionError("ran in-process beside a warm pool")
+
+        monkeypatch.setattr(CorpusRunner, "_serial", no_serial)
+        pool = WarmProcessPool("D2", workers=2).boot()
+        try:
+            workers = {f"pid{pid}" for pid in pool.pids()}
+            outcome = CorpusRunner("D2", pool=pool).run(corpus[:1])
+        finally:
+            pool.close()
+        assert not outcome.failures and outcome.degrade_reason is None
+        assert _extraction_key(outcome.results[0]) == _extraction_key(serial.results[0])
+        reporters = {
+            labels["worker"]
+            for labels, _ in outcome.registry.samples("repro.process.rss_max_bytes")
+        }
+        assert reporters & workers  # a worker's resource sample came back
+
     def test_killed_worker_is_replaced_not_fatal(self, corpus):
         from repro.perf import WarmProcessPool
 
@@ -579,3 +604,27 @@ class TestStageStatsEdges:
         # getrusage is available on this platform; a busy loop must
         # charge a nonzero user-CPU delta.
         assert stats.cpu_seconds > 0.0
+
+    def test_stage_timer_wall_window_excludes_its_cpu_reads(self, monkeypatch):
+        """A CPU-time read may be preempted on a busy machine.  With fake
+        clocks where each read costs 1 s of wall time, the stage's wall
+        time is its body's 0.25 s alone; the CPU delta is unchanged."""
+        from types import SimpleNamespace
+
+        import repro.instrument as instrument
+
+        wall = [100.0]
+        cpu = [5.0]
+
+        def preempted_cpu_read():
+            wall[0] += 1.0
+            return cpu[0]
+
+        monkeypatch.setattr(instrument, "time", SimpleNamespace(perf_counter=lambda: wall[0]))
+        monkeypatch.setattr(instrument, "_cpu_now", preempted_cpu_read)
+        m = PipelineMetrics()
+        with m.stage("body"):
+            wall[0] += 0.25
+            cpu[0] += 0.125
+        assert m["body"].seconds == 0.25
+        assert m["body"].cpu_seconds == 0.125

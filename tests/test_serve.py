@@ -633,6 +633,149 @@ class TestServeHTTPRequests:
 
 
 # ----------------------------------------------------------------------
+# The live dispatcher, driven through ``_extract`` without sockets
+# ----------------------------------------------------------------------
+#: The decision events of the pipeline's ledger (tests/goldens).
+LEDGER_EVENTS = (
+    "cut.decision", "merge.decision", "merge.pass", "pareto.front", "select.decision",
+)
+
+
+def _doc_ledgers(roots) -> dict:
+    """``{doc_id: ledger lines}``, each span path taken below the
+    document's ``doc`` span (serve and a serial run number documents
+    differently)."""
+    from repro.trace import Span, ledger_lines
+
+    out = {}
+    for root in roots:
+        for span in root.find("doc"):
+            below = Span("doc")
+            below.events, below.children = span.events, span.children
+            out[span.attrs["doc_id"]] = ledger_lines([below], LEDGER_EVENTS)
+    return out
+
+
+def _extraction_rows(result) -> list:
+    return [
+        (e.entity_type, e.text, vars(e.bbox), vars(e.span_bbox), e.score)
+        for e in result.extractions
+    ]
+
+
+async def _serve_requests(http: ServeHTTP, bodies) -> list:
+    """Answer ``bodies`` through ``_extract`` while the dispatch loop
+    runs, then drain it; returns ``(status, headers, payload)`` each."""
+    http._wake = asyncio.Event()
+    dispatcher = asyncio.create_task(http._dispatch_loop())
+    await asyncio.sleep(0)  # the dispatcher now idles on an empty queue
+    replies = await asyncio.gather(*(http._extract(body) for body in bodies))
+    http.request_drain()
+    await dispatcher
+    return replies
+
+
+class TestLiveDispatcher:
+    def test_lone_request_is_taken_without_a_timed_wait(self, monkeypatch):
+        """An idle dispatcher takes a lone request the moment it is
+        admitted: the only timed wait the module starts is the
+        handler's own deadline guard, and the request is a batch of
+        one."""
+        import repro.serve.http as http_mod
+
+        events = []
+
+        class RecordingAsyncio:
+            """The module's ``asyncio``, logging each timed wait's caller."""
+
+            def __getattr__(self, name):
+                return getattr(asyncio, name)
+
+            def sleep(self, delay, result=None):
+                events.append(sys._getframe(1).f_code.co_name)
+                return asyncio.sleep(delay, result)
+
+            def wait_for(self, awaitable, timeout):
+                events.append(sys._getframe(1).f_code.co_name)
+                return asyncio.wait_for(awaitable, timeout)
+
+        monkeypatch.setattr(http_mod, "asyncio", RecordingAsyncio())
+        service = _service().boot()
+        take_batch = service.take_batch
+
+        def recording_take_batch(now):
+            batch, expired = take_batch(now)
+            events.append(f"take_batch({len(batch)})")
+            return batch, expired
+
+        service.take_batch = recording_take_batch
+        try:
+            [(status, _, _)] = asyncio.run(
+                _serve_requests(ServeHTTP(service), [b'{"index": 0}'])
+            )
+        finally:
+            service.shutdown()
+        assert status == 200
+        assert events == ["_extract", "take_batch(1)"]
+
+    @pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
+    def test_served_ledgers_match_the_serial_run(self):
+        """The same D2 documents, served by the live dispatcher on a
+        traced 2-worker pool and run by a traced serial CorpusRunner,
+        make byte-identical decisions and identical extractions."""
+        from repro.perf import CorpusRunner
+        from repro.trace import Tracer
+
+        tracer = Tracer()
+        service = ExtractionService(
+            _config(workers=2, corpus_n=6, queue_limit=8, batch_max=4), tracer=tracer
+        ).boot()
+        served = {}
+        run_batch = service.run_batch
+
+        def keeping_run_batch(batch):
+            outcome = run_batch(batch)
+            for ticket, result in zip(batch, outcome.result.results):
+                served[ticket.doc.doc_id] = result
+            return outcome
+
+        service.run_batch = keeping_run_batch
+        docs = list(service.corpus)
+        bodies = [json.dumps({"index": i}).encode() for i in range(len(docs))]
+        try:
+            assert service.pool is not None
+            replies = asyncio.run(_serve_requests(ServeHTTP(service), bodies))
+        finally:
+            service.shutdown()
+        serial_tracer = Tracer()
+        serial = CorpusRunner("D2", tracer=serial_tracer).run(docs)
+
+        expected = _doc_ledgers(serial_tracer.drain())
+        assert sorted(expected) == sorted(d.doc_id for d in docs)
+        assert all(
+            any('"cut.decision"' in line for line in lines) for lines in expected.values()
+        )
+        assert _doc_ledgers(tracer.drain()) == expected
+        for doc, (status, _, payload), result in zip(docs, replies, serial.results):
+            assert status == 200
+            assert json.loads(payload)["extractions"] == result.as_key_values()
+            assert _extraction_rows(served[doc.doc_id]) == _extraction_rows(result)
+
+    def test_retired_window_flag_is_a_usage_error(self, monkeypatch, capsys):
+        """Dispatch has no window to tune: the retired window flag is a
+        usage error."""
+        import repro.serve as serve_pkg
+        from repro.__main__ import main
+
+        # Should the parser accept the flag, the command must not listen.
+        monkeypatch.setattr(serve_pkg, "run_server", lambda *args, **kwargs: 0)
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--corpus-n", "1", "--batch-window", "0.05"])
+        assert exc.value.code == 2
+        assert "--batch-window" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
 # End to end: real server, real sockets, SIGTERM drain
 # ----------------------------------------------------------------------
 @pytest.mark.serve_smoke
